@@ -40,7 +40,7 @@ from .oracle import (
     count_solutions,
     fourier_zero_identity_check,
 )
-from .polynomials import IntPolynomial, QuadraticForm
+from .polynomials import IntPolynomial, QuadraticForm, format_polynomial, parse_polynomial
 from .clifford import (
     Circuit,
     Gate,
@@ -78,6 +78,5 @@ from .hardness import (
     eval_two_power,
     verify_gadgets,
 )
-from .cli import format_polynomial, parse_polynomial
 
 __all__ = [name for name in dir() if not name.startswith("_")]

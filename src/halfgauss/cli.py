@@ -1,7 +1,8 @@
 """Command-line interface: JSON on stdout, human summaries on stderr.
 
 Exit codes: 0 success, 1 usage or input error (bad grammar, aperiodic input
-on a fast path, budget refusal), 2 internal-consistency fault.
+on a fast path, budget refusal), 2 internal fault (an internal-consistency
+failure or any other unexpected exception, reported as a JSON error).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .clifford import (
     normalize,
@@ -43,129 +45,8 @@ from .holant import (
     holant_product,
 )
 from .oracle import SumDescriptor, brute_sum, count_solutions, fourier_zero_identity_check
-from .polynomials import IntPolynomial
+from .polynomials import format_polynomial, parse_polynomial
 from .sweeps import selftest
-
-
-# ---------------------------------------------------------------------------
-# polynomial text grammar
-
-
-class PolynomialSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"at position {position}: {message}")
-        self.position = position
-
-
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(("int", int(src[i:j]), i))
-            i = j
-            continue
-        if ch in ("x", "X"):
-            j = i + 1
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolynomialSyntaxError("variable needs an index, e.g. x1", i)
-            tokens.append(("var", int(src[i + 1 : j]), i))
-            i = j
-            continue
-        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
-def parse_polynomial(src: str) -> IntPolynomial:
-    """Parse the term grammar: signed products of integers and x<k>[^<p>]."""
-    tokens = _tokenize(src)
-    terms: dict[tuple[int, ...], int] = {}
-    nmax = 0
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(src))
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def parse_factor(coeff: int, mono: list[int]):
-        kind, val, at = take()
-        if kind == "int":
-            return coeff * val, mono
-        if kind == "var":
-            if val < 1:
-                raise PolynomialSyntaxError("variables are 1-indexed", at)
-            power = 1
-            if peek()[0] == "^":
-                take()
-                k2, p, at2 = take()
-                if k2 != "int":
-                    raise PolynomialSyntaxError("exponent must be an integer", at2)
-                power = p
-            mono = mono + [val] * power
-            return coeff, mono
-        raise PolynomialSyntaxError("expected an integer or a variable", at)
-
-    first = True
-    while pos < len(tokens):
-        sign = 1
-        kind, _, at = peek()
-        if kind in ("+", "-"):
-            take()
-            sign = -1 if kind == "-" else 1
-        elif not first:
-            raise PolynomialSyntaxError("terms must be joined by '+' or '-'", at)
-        first = False
-        coeff, mono = parse_factor(1, [])
-        while peek()[0] == "*":
-            take()
-            coeff, mono = parse_factor(coeff, mono)
-        key = tuple(sorted(mono))
-        terms[key] = terms.get(key, 0) + sign * coeff
-        nmax = max(nmax, max(mono, default=0))
-    return IntPolynomial(nmax, terms)
-
-
-def format_polynomial(p: IntPolynomial) -> str:
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    parts = []
-    for mono, c in items:
-        factors = []
-        counts: dict[int, int] = {}
-        for v in mono:
-            counts[v] = counts.get(v, 0) + 1
-        for v in sorted(counts):
-            factors.append(f"x{v}" + (f"^{counts[v]}" if counts[v] > 1 else ""))
-        body = "*".join(factors)
-        mag = abs(c)
-        if not body:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"{mag}*{body}"
-        parts.append(("- " if c < 0 else "+ ") + text)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +401,14 @@ def run(argv: list[str]) -> int:
         print(file=sys.stdout)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a defect, not a usage error: keep its traceback on stderr for the report
+        traceback.print_exc(file=sys.stderr)
+        kind = type(exc).__name__
+        json.dump({"error": {"kind": kind, "message": str(exc)}}, sys.stdout)
+        print(file=sys.stdout)
+        print(f"internal fault: {kind}: {exc}", file=sys.stderr)
+        return 2
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print(file=sys.stdout)
     print(f"{args.command}: ok", file=sys.stderr)

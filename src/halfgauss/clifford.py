@@ -93,10 +93,6 @@ class Labeling:
     terminal: tuple[int, ...]
     internal: frozenset[int]
 
-    def measurement_split(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Terminal indices of the first k (measured) and remaining registers."""
-        return self.terminal[:k], self.terminal[k:]
-
 
 @dataclass
 class NormalizedCircuit:

@@ -496,18 +496,6 @@ def pretty(x: CyclotomicNumber) -> str | None:
     return None
 
 
-def extract(x: CyclotomicNumber) -> dict:
-    """Inspection bundle: zero flag, rational value when applicable, float
-    approximation, and the monomial-times-surd rendering when it exists."""
-    z = x.approx()
-    return {
-        "is_zero": x.is_zero(),
-        "as_rational": x.as_rational(),
-        "approx": z,
-        "pretty": pretty(x),
-    }
-
-
 def to_json_dict(x: CyclotomicNumber, approx_only: bool = False) -> dict:
     """JSON rendering per the documented wire format.
 

@@ -9,19 +9,29 @@ Two public evaluators:
   eval_gauss_quadratic(q, g) Z(q, g) = sum over Z_q^n of omega_q^g(x), for
                              arbitrary quadratic g.
 
+Both run one core.  xi_q^2 = omega_q, so Z(q, g) = Z_{1/2}(q, 2g) for every
+q, and 2g always meets the periodicity condition; the core evaluates
+Z_{1/2}(q, f) as the sum over Z_q^n of omega_M^(u f(x)), where M =
+xi_exponent_modulus(q) and xi_q = omega_M^u.
+
 Strategy: strip the constant as a global phase, split the modulus through the
-Chinese remainder theorem into prime powers, and per prime power reduce the
-symmetric coefficient matrix by an exact congruence transform (unimodular
-shears) into 1x1 blocks, plus 2x2 blocks with odd off-diagonal entry which
-only occur for p = 2.  Each block is a univariate or bivariate sum with a
-closed form built from the univariate Gauss/half-Gauss machinery.  The whole
-pipeline is deterministic and costs O(n^3) ring operations per prime power
-plus O(log q) per block, so evaluation is polynomial in n and log q with no
-branching and no brute-force fallback.
+Chinese remainder theorem into all its prime powers in one loop (2-adic part
+first), and per prime power reduce the symmetric coefficient matrix by an
+exact congruence transform (unimodular shears) into 1x1 blocks, plus 2x2
+blocks with odd off-diagonal entry which only occur for p = 2.  Each block is
+a univariate or bivariate sum with a closed form built from the univariate
+Gauss/half-Gauss machinery.  The whole pipeline is deterministic and costs
+O(n^3) ring operations per prime power plus O(log q) per block, so evaluation
+is polynomial in n and log q with no branching and no brute-force fallback.
 
 Every evaluation returns a SumValue carrying a certificate: the ordered list
 of applied rules, where each multiplicative contribution appears as a leaf
 factor.  Multiplying the leaf factors back together reproduces the value.
+The rules: constant_phase and free_variables (leaves), trivial_modulus (leaf
+1) when nothing is left to sum, one crt_prime_power per prime-power part of
+a composite modulus, one congruence_reduction per frame, and one leaf per
+block (block_uni_2adic, block_uni_odd, block_two_2adic).  The minus sign
+convention prepends minus_convention_rescale.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,9 +77,6 @@ class Certificate:
 
     def add(self, rule: str, params: tuple = (), factor: CyclotomicNumber | None = None):
         self.steps.append(CertStep(rule, params, factor))
-
-    def extend(self, steps: Iterable[CertStep]):
-        self.steps.extend(steps)
 
     def leaf_product(self) -> CyclotomicNumber:
         out = one()
@@ -152,28 +158,6 @@ def _uni_odd(p: int, k: int, a: int, d: int) -> CyclotomicNumber:
 
 
 @lru_cache(maxsize=1 << 16)
-def _uni_power2(k: int, a: int, d: int) -> CyclotomicNumber:
-    """Sum over z in Z_{2^k} of omega_{2^k}^(a z^2 + d z)."""
-    q = 1 << k
-    a %= q
-    d %= q
-    if k == 0:
-        return one()
-    if a == 0:
-        return CyclotomicNumber.from_rational(q if d == 0 else 0)
-    if k == 1:
-        return one() + CyclotomicNumber.from_rational((-1) ** (a + d))
-    if a % 2 == 1:
-        if d % 2 == 1:
-            return CyclotomicNumber.zero()
-        s = (modinv(a, q) * (d // 2)) % q
-        return root_of_unity(q, -a * s * s) * gauss_sum(a, q)
-    if d % 2 == 1:
-        return CyclotomicNumber.zero()
-    return _uni_power2(k - 1, a // 2, d // 2).scale(2)
-
-
-@lru_cache(maxsize=1 << 16)
 def _uni_half2(k: int, m: int, d: int) -> CyclotomicNumber:
     """Sum over z in Z_{2^k} of omega_{2^(k+1)}^(m z^2 + 2 d z)."""
     q = 1 << k
@@ -186,7 +170,16 @@ def _uni_half2(k: int, m: int, d: int) -> CyclotomicNumber:
         # and the summand has period q, so the shifted sum is G_{1/2}(m, q)
         s = (modinv(m, q) * d) % q
         return root_of_unity(2 * q, -m * s * s) * half_gauss_sum(m, q)
-    return _uni_power2(k, (m // 2) % q, d)
+    # m = 2a: the full sum of omega_{2^k}^(a z^2 + d z)
+    a = m // 2
+    if a == 0:
+        return CyclotomicNumber.from_rational(q if d == 0 else 0)
+    if k == 1:
+        return one() + CyclotomicNumber.from_rational((-1) ** (a + d))
+    if d % 2 == 1:
+        return CyclotomicNumber.zero()
+    # k >= 2 and d even: period 2^(k-1) in z, as in G(a, 2^k) = 2 G_{1/2}(a, 2^(k-1))
+    return _uni_half2(k - 1, a, d // 2).scale(2)
 
 
 def _direct_two(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNumber:
@@ -245,7 +238,7 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
         aw = (c - ainv * bh * bh) % q
         dw = (e - 2 * ainv * bh * dh) % q
         gw = (-ainv * dh * dh) % q
-        return (gauss_sum(a, q) * root_of_unity(q, gw)) * _uni_power2(k, aw, dw)
+        return (gauss_sum(a, q) * root_of_unity(q, gw)) * _uni_half2(k, 2 * aw, dw)
     if d % 2 == 1 or e % 2 == 1:
         return CyclotomicNumber.zero()
     if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
@@ -254,11 +247,11 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
 
 
 # ---------------------------------------------------------------------------
-# symmetric congruence reduction (shared by the full and half frames)
+# symmetric congruence reduction of one prime-power frame
 #
 # A frame holds value = sum over Z_q^n of omega_{mod}^{x^T M x + lin * B x}
 # where for p = 2:    mod = 2q, lin = 2, M symmetric mod 2q (diagonal parity
-#                     free, so both full and half sums fit);
+#                     free; cross terms are the even alpha_ij halved);
 # and for odd p:      mod = q, lin = 1, M_ii = alpha_ii, M_ij = alpha_ij / 2
 #                     via the inverse of 2 mod q.
 # Shears x -> x - u x_l are unimodular, so they permute Z_q^n and preserve
@@ -323,12 +316,12 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     def clear_with_block(i: int, j: int):
         mii, mij, mjj = int(m[i, i]), int(m[i, j]), int(m[j, j])
         det = mii * mjj - mij * mij
-        e2 = 2 * valuation(int(mij), p)
-        w = modinv((det // p**e2) % mod, mod)
-        num1 = (mjj * m[i] - mij * m[j]) % (mod * p**e2)
-        num2 = (mii * m[j] - mij * m[i]) % (mod * p**e2)
-        u1 = ((num1 // p**e2) * w) % mod
-        u2 = ((num2 // p**e2) * w) % mod
+        pe2 = p ** (2 * valuation(int(mij), p))
+        w = modinv((det // pe2) % mod, mod)
+        # every entry is a multiple of sqrt(pe2), so the numerators divide
+        # exactly; reducing before the multiply by w keeps int64 in range
+        u1 = (((mjj * m[i] - mij * m[j]) // pe2) % mod * w) % mod
+        u2 = (((mii * m[j] - mij * m[i]) // pe2) % mod * w) % mod
         u1[i] = u1[j] = 0
         u2[i] = u2[j] = 0
         if np.any(u1):
@@ -450,127 +443,70 @@ def _frame_eval(
     return out
 
 
-def _np_dtype(mod: int):
-    return np.int64 if mod <= (1 << 25) else object
+def _build_frame(p: int, q: int, alpha: tuple, beta: tuple, nvars: int, w: int):
+    """M, B of the frame for the sum over Z_q^n of omega_mod^(w f(x)), where
+    q = p^k and mod = xi_exponent_modulus(q).
 
-
-def _build_frame_2(q: int, alpha: Sequence[tuple[tuple[int, int], int]], beta, nvars, half: bool):
-    """M, B for the 2-power frame: omega_{2q}^{x^T M x + 2 B x}."""
-    mod = 2 * q
-    dt = _np_dtype(mod)
+    For p = 2 the cross and linear coefficients of w f are even and are
+    halved exactly; for odd p the cross coefficients are halved through the
+    inverse of 2 mod q.
+    """
+    mod = xi_exponent_modulus(q)
+    dt = np.int64 if mod <= (1 << 25) else object
     m = np.zeros((nvars, nvars), dtype=dt)
     b = np.zeros(nvars, dtype=dt)
     for (i, j), c in alpha:
+        c = (c * w) % mod
         if i == j:
-            m[i - 1, i - 1] = (c if half else 2 * c) % mod
+            m[i - 1, i - 1] = c
         else:
-            v = ((c // 2) if half else c) % mod
+            v = c // 2 if p == 2 else (c * (q + 1) // 2) % q
             m[i - 1, j - 1] = v
             m[j - 1, i - 1] = v
     for i, c in beta:
-        b[i - 1] = ((c // 2) if half else c) % q
+        c = (c * w) % mod
+        b[i - 1] = c // 2 if p == 2 else c
     return m, b
 
 
-def _build_frame_odd(q: int, alpha, beta, nvars):
-    """A, B for the odd frame: omega_q^{x^T A x + B x} with A_ij = alpha_ij/2."""
-    dt = _np_dtype(q)
-    inv2 = modinv(2, q)
-    a = np.zeros((nvars, nvars), dtype=dt)
-    b = np.zeros(nvars, dtype=dt)
-    for (i, j), c in alpha:
-        if i == j:
-            a[i - 1, i - 1] = c % q
-        else:
-            v = (c * inv2) % q
-            a[i - 1, j - 1] = v
-            a[j - 1, i - 1] = v
-    for i, c in beta:
-        b[i - 1] = c % q
-    return a, b
-
-
 # ---------------------------------------------------------------------------
-# cores (gamma stripped, variables compressed)
+# the core (gamma stripped, variables compressed)
 
 
-def _crt_units(q: int) -> list[tuple[int, int]]:
-    """[(q_i, u_i)] with q_i the prime powers of q and sum u_i q/q_i = 1 mod q."""
-    out = []
-    for p, k in factorize(q):
-        qi = p**k
-        out.append((qi, modinv((q // qi) % qi, qi)))
-    return out
+def _core(q: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> CyclotomicNumber:
+    """Z_{1/2}(q, f) = sum over Z_q^n of omega_M^(u f(x)), M = xi_exponent_modulus(q).
 
-
-def _full_core(q: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> CyclotomicNumber:
+    xi_q = omega_M^u with u = 1 for even q and (q+1)/2 for odd q.  With M_i
+    = xi_exponent_modulus(q_i) for the prime powers q_i of q, the units w_i =
+    (M/M_i)^(-1) mod M_i give 1/M = sum w_i/M_i mod 1, so the sum factors
+    into one frame per prime power, the 2-adic part first.
+    """
     if q == 1 or nvars == 0:
         cert.add("trivial_modulus", (q, nvars), one())
         return one()
-    parts = _crt_units(q)
-    if len(parts) > 1:
-        out = one()
-        for qi, ui in parts:
-            ai = tuple((k2, (c * ui) % qi) for k2, c in alpha)
-            bi = tuple((i, (c * ui) % qi) for i, c in beta)
+    mod = xi_exponent_modulus(q)
+    u = 1 if q % 2 == 0 else (q + 1) // 2
+    parts = factorize(q)
+    out = None
+    for p, k in parts:
+        qi = p**k
+        mi = xi_exponent_modulus(qi)
+        if len(parts) > 1:
             cert.add("crt_prime_power", (qi,))
-            out = out * _full_core(qi, ai, bi, nvars, cert)
-            if out.is_zero():
-                return out
-        return out
-    p = factorize(q)[0][0]
-    k = factorize(q)[0][1]
-    if p == 2:
-        m, b = _build_frame_2(q, alpha, beta, nvars, half=False)
-        return _frame_eval(2, k, m, b, 2 * q, cert)
-    a, b = _build_frame_odd(q, alpha, beta, nvars)
-    return _frame_eval(p, k, a, b, q, cert)
-
-
-def _half_core(d: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> CyclotomicNumber:
-    if d == 1 or nvars == 0:
-        cert.add("trivial_modulus", (d, nvars), one())
-        return one()
-    if d % 2 == 1:
-        # xi_d = omega_d^{(d+1)/2}, so the half sum is a full Gauss sum
-        h = (d + 1) // 2
-        cert.add("odd_xi_to_omega", (d,))
-        ai = tuple((k2, (c * h) % d) for k2, c in alpha)
-        bi = tuple((i, (c * h) % d) for i, c in beta)
-        return _full_core(d, ai, bi, nvars, cert)
-    tpow = d & (-d)
-    c_odd = d // tpow
-    if c_odd > 1:
-        from .numtheory import crt_split
-
-        s = crt_split(d)
-        cert.add("crt_half_split", (s.b, s.c))
-        u2 = (s.n1 + s.b * s.n2) % (2 * s.b)
-        a2 = tuple((k2, (c * u2) % (2 * s.b)) for k2, c in alpha)
-        b2 = tuple((i, (c * u2) % (2 * s.b)) for i, c in beta)
-        left = _half_core(s.b, a2, b2, nvars, cert)
-        if left.is_zero():
-            return left
-        uc = s.n2 % s.c
-        ac = tuple((k2, (c * uc) % s.c) for k2, c in alpha)
-        bc = tuple((i, (c * uc) % s.c) for i, c in beta)
-        return left * _half_core(s.c, ac, bc, nvars, cert)
-    k = tpow.bit_length() - 1
-    m, b = _build_frame_2(d, alpha, beta, nvars, half=True)
-    return _frame_eval(2, k, m, b, 2 * d, cert)
+        w = (u * modinv((mod // mi) % mi, mi)) % mi
+        m, b = _build_frame(p, qi, alpha, beta, nvars, w)
+        part = _frame_eval(p, k, m, b, mi, cert)
+        # no multiply by one: it costs a field embedding on every prime power
+        out = part if out is None else out * part
+        if out.is_zero():
+            return out
+    return out
 
 
 @lru_cache(maxsize=1 << 16)
-def _half_core_cached(d: int, alpha: tuple, beta: tuple, nvars: int):
+def _core_cached(q: int, alpha: tuple, beta: tuple, nvars: int):
     cert = Certificate()
-    value = _half_core(d, alpha, beta, nvars, cert)
-    return value, tuple(cert.steps)
-
-
-@lru_cache(maxsize=1 << 16)
-def _full_core_cached(q: int, alpha: tuple, beta: tuple, nvars: int):
-    cert = Certificate()
-    value = _full_core(q, alpha, beta, nvars, cert)
+    value = _core(q, alpha, beta, nvars, cert)
     return value, tuple(cert.steps)
 
 
@@ -578,12 +514,14 @@ def _full_core_cached(q: int, alpha: tuple, beta: tuple, nvars: int):
 # public evaluators
 
 
-def _prepare(f: QuadraticForm, mod: int, require_periodic_even: bool):
+def _prepare(f: QuadraticForm, mod: int):
     """One-pass reduce mod `mod`, periodicity check, variable compression.
 
-    Returns (alpha_key, beta_key, nused, nfree, gamma).
+    An even `mod` is the exponent modulus 2d of an even d, where every cross
+    and linear coefficient must be even.  Returns (alpha_key, beta_key,
+    nused, nfree).
     """
-    even = require_periodic_even
+    even = mod % 2 == 0
     alpha = []
     used: set[int] = set()
     for (i, j), c in f.alpha.items():
@@ -612,7 +550,7 @@ def _prepare(f: QuadraticForm, mod: int, require_periodic_even: bool):
     remap = {v: t + 1 for t, v in enumerate(sorted(used))}
     alpha_key = tuple(sorted(((remap[i], remap[j]), c) for (i, j), c in alpha))
     beta_key = tuple(sorted((remap[i], c) for i, c in beta))
-    return alpha_key, beta_key, nused, f.n - nused, f.gamma0 % mod
+    return alpha_key, beta_key, nused, f.n - nused
 
 
 def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
@@ -620,10 +558,10 @@ def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
     if d < 1:
         raise ValueError("d must be positive")
     mod = xi_exponent_modulus(d)
-    alpha, beta, nused, nfree, gamma = _prepare(f, mod, d % 2 == 0)
-    core, steps = _half_core_cached(d, alpha, beta, nused)
-    value = core
+    alpha, beta, nused, nfree = _prepare(f, mod)
+    value, steps = _core_cached(d, alpha, beta, nused)
     head: tuple = ()
+    gamma = f.gamma0 % mod
     if gamma:
         phase = xi_pow(d, gamma)
         head += (CertStep("constant_phase", (gamma,), phase),)
@@ -635,13 +573,17 @@ def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
 
 
 def eval_gauss_quadratic(q: int, g: QuadraticForm) -> SumValue:
-    """Exact Z(q, g) for an arbitrary quadratic g, in polynomial time."""
+    """Exact Z(q, g) for an arbitrary quadratic g, in polynomial time.
+
+    xi_q^2 = omega_q, so Z(q, g) = Z_{1/2}(q, 2g), and 2g always meets the
+    periodicity condition.
+    """
     if q < 1:
         raise ValueError("q must be positive")
-    alpha, beta, nused, nfree, gamma = _prepare(g, q, False)
-    core, steps = _full_core_cached(q, alpha, beta, nused)
-    value = core
+    alpha, beta, nused, nfree = _prepare(g.scale(2), xi_exponent_modulus(q))
+    value, steps = _core_cached(q, alpha, beta, nused)
     head: tuple = ()
+    gamma = g.gamma0 % q
     if gamma:
         phase = root_of_unity(q, gamma)
         head += (CertStep("constant_phase", (gamma,), phase),)

@@ -5,8 +5,8 @@ G_{1/2}(a,d) = sum over x in Z_d of xi_d^(a x^2)
 
 Both require gcd(a,d)=1 and are evaluated in poly(log a, log d) arithmetic
 steps: the odd part goes through the Jacobi symbol, the 2-power part through
-small direct-sum base cases plus halving recursions, and composite moduli
-split multiplicatively via the Chinese remainder theorem.
+G_{1/2}(a, 2) = 1 + i^a, G_{1/2}(a, 4) = 2 omega_8^a, a halving recursion and
+G(a, 2^k) = 2 G_{1/2}(a, 2^(k-1)), and composite moduli split via the CRT.
 """
 
 from __future__ import annotations
@@ -20,17 +20,8 @@ from .cyclotomic import (
     one,
     root_of_unity,
     sqrt_int,
-    xi_pow,
 )
 from .numtheory import crt_split, jacobi_symbol
-
-
-def _direct_gauss(a: int, d: int) -> CyclotomicNumber:
-    acc: dict[int, int] = {}
-    for x in range(d):
-        e = (a * x * x) % d
-        acc[e] = acc.get(e, 0) + 1
-    return CyclotomicNumber(d, acc)
 
 
 def _gauss_odd(a: int, d: int) -> CyclotomicNumber:
@@ -40,13 +31,12 @@ def _gauss_odd(a: int, d: int) -> CyclotomicNumber:
     return g1.scale(j)
 
 
-@lru_cache(maxsize=1 << 12)
 def _gauss_two_power(a: int, k: int) -> CyclotomicNumber:
-    if k <= 3:
-        return _direct_gauss(a % (1 << k), 1 << k)
-    # halving the modulus twice doubles the sum, as for the half sums; the
-    # step size is pinned by the exhaustive direct-summation oracle
-    return _gauss_two_power(a % (1 << (k - 2)), k - 2).scale(2)
+    # for k >= 2, omega_{2^k}^(a x^2) has period 2^(k-1) in x, and on
+    # Z_{2^(k-1)} it is xi_{2^(k-1)}^(a x^2); G(a, 2) = 1 - 1 = 0
+    if k == 1:
+        return CyclotomicNumber.zero()
+    return _half_two_power(a % (1 << k), k - 1).scale(2)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -73,41 +63,29 @@ def gauss_sum(a: int, d: int) -> CyclotomicNumber:
     return _gauss_cached(a % d if d > 1 else 0, d)
 
 
-def _direct_half(a: int, d: int, conv: SignConvention) -> CyclotomicNumber:
-    acc = one().scale(0)
-    for x in range(d):
-        acc = acc + xi_pow(d, a * x * x, conv)
-    return acc
-
-
 @lru_cache(maxsize=1 << 12)
-def _half_two_power(a: int, m: int, minus: bool) -> CyclotomicNumber:
+def _half_two_power(a: int, m: int) -> CyclotomicNumber:
     if m == 1:
-        # 1 + i^a, or 1 + (-i)^a for the minus convention
-        t = (3 * a) % 4 if minus else a % 4
-        return one() + root_of_unity(4, t)
+        return one() + root_of_unity(4, a)  # 1 + i^a
     if m == 2:
-        if minus:
-            return _direct_half(a % 8, 4, SignConvention.MINUS_FOR_EVEN)
         return root_of_unity(8, a).scale(2)
-    # m >= 3 recursion; the minus variant drops to the plus convention.
-    return _half_two_power(a % (1 << (m - 1)), m - 2, False).scale(2)
+    # halving the modulus twice doubles the sum
+    return _half_two_power(a % (1 << (m - 1)), m - 2).scale(2)
 
 
 @lru_cache(maxsize=1 << 14)
-def _half_cached(a: int, d: int, conv: SignConvention) -> CyclotomicNumber:
+def _half_cached(a: int, d: int) -> CyclotomicNumber:
     if d == 1:
         return one()
     if d % 2 == 1:
         # G_{1/2}(a,d) = G(a(d+1)/2, d)
         return gauss_sum((a * ((d + 1) // 2)) % d, d)
     s = crt_split(d)
-    minus = conv is SignConvention.MINUS_FOR_EVEN
     m = s.b.bit_length() - 1
-    two_part = _half_two_power((a * (s.n1 + s.b * s.n2)) % (2 * s.b), m, minus)
+    two_part = _half_two_power((a * (s.n1 + s.b * s.n2)) % (2 * s.b), m)
     if s.c == 1:
         return two_part
-    return two_part * _half_cached((a * s.n2) % s.c, s.c, SignConvention.PLUS)
+    return two_part * _half_cached((a * s.n2) % s.c, s.c)
 
 
 def half_gauss_sum(
@@ -118,8 +96,11 @@ def half_gauss_sum(
         raise ValueError("modulus must be positive")
     if gcd(a, d) != 1:
         raise ValueError(f"half_gauss_sum requires gcd(a, d) = 1, got a={a}, d={d}")
+    if conv is SignConvention.MINUS_FOR_EVEN:
+        # (-omega_{2d})^e = omega_{2d}^((d+1)e); for odd d the rescale is a no-op mod d
+        a *= d + 1
     mod = d if d % 2 == 1 else 2 * d
-    return _half_cached(a % mod, d, conv)
+    return _half_cached(a % mod, d)
 
 
 def q_constant(d: int, conv: SignConvention = SignConvention.PLUS) -> CyclotomicNumber:

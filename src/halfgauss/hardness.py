@@ -190,8 +190,6 @@ def _rewrite_to_hzcs(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
         for _ in range(g.repeat):
             if g.kind in ("H", "Z", "CS"):
                 out.append(Gate(g.kind, g.targets))
-            elif g.kind == "S":
-                out.append(Gate("CS", g.targets))  # unreachable; S not used below
             elif g.kind == "CZ":
                 out += [Gate("CS", g.targets)] * 2
             elif g.kind == "CX":

@@ -1,4 +1,5 @@
-"""Integer polynomial containers: sparse general polynomials and quadratic forms.
+"""Integer polynomial containers (sparse general polynomials and quadratic
+forms) and their text grammar.
 
 Variables are 1-indexed.  A monomial is a sorted tuple of variable indices
 with repetition, so x1^2*x2 is (1, 1, 2) and the constant term is ().
@@ -7,7 +8,7 @@ with repetition, so x1^2*x2 is (1, 1, 2) and the constant term is ().
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,8 @@ class IntPolynomial:
             total += t
         return total % modulus if modulus else total
 
-    def variables_used(self) -> set[int]:
-        return {v for mono in self.terms for v in mono}
-
     def scale(self, k: int) -> "IntPolynomial":
         return IntPolynomial(self.n, {m: k * c for m, c in self.terms.items()})
-
-    def add_constant(self, c: int) -> "IntPolynomial":
-        t = dict(self.terms)
-        t[()] = t.get((), 0) + c
-        return IntPolynomial(self.n, t)
 
     def as_quadratic(self) -> "QuadraticForm":
         """View as a QuadraticForm; rejects degree > 2."""
@@ -112,11 +105,6 @@ class QuadraticForm:
             total += c * xs[i - 1]
         return total % modulus if modulus else total
 
-    def variables_used(self) -> set[int]:
-        out = {i for (i, j) in self.alpha for i in (i, j)}
-        out.update(self.beta)
-        return out
-
     def scale(self, k: int) -> "QuadraticForm":
         return QuadraticForm(
             self.n,
@@ -147,11 +135,6 @@ class QuadraticForm:
             b[i] = b.get(i, 0) + c
         return QuadraticForm(self.n, a, b, self.gamma0 + other.gamma0)
 
-    def add_linear(self, i: int, c: int) -> "QuadraticForm":
-        b = dict(self.beta)
-        b[i] = b.get(i, 0) + c
-        return QuadraticForm(self.n, self.alpha, b, self.gamma0)
-
     def key(self) -> tuple:
         """Hashable canonical key (used for memo tables)."""
         return (
@@ -172,16 +155,122 @@ class QuadraticForm:
         return IntPolynomial(self.n, terms)
 
 
-def quadratic_from_mapping(
-    n: int,
-    alpha: Mapping[tuple[int, int], int] | None = None,
-    beta: Mapping[int, int] | None = None,
-    gamma0: int = 0,
-) -> QuadraticForm:
-    """Convenience constructor accepting alpha keys in either order."""
-    a: dict[tuple[int, int], int] = {}
-    for (i, j), c in (alpha or {}).items():
-        if i > j:
-            i, j = j, i
-        a[(i, j)] = a.get((i, j), 0) + c
-    return QuadraticForm(n, a, dict(beta or {}), gamma0)
+# ---------------------------------------------------------------------------
+# polynomial text grammar
+
+
+class PolynomialSyntaxError(ValueError):
+    def __init__(self, message: str, position: int):
+        super().__init__(f"at position {position}: {message}")
+        self.position = position
+
+
+def _tokenize(src: str):
+    tokens = []
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            tokens.append(("int", int(src[i:j]), i))
+            i = j
+            continue
+        if ch in ("x", "X"):
+            j = i + 1
+            while j < len(src) and src[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise PolynomialSyntaxError("variable needs an index, e.g. x1", i)
+            tokens.append(("var", int(src[i + 1 : j]), i))
+            i = j
+            continue
+        raise PolynomialSyntaxError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def parse_polynomial(src: str) -> IntPolynomial:
+    """Parse the term grammar: signed products of integers and x<k>[^<p>]."""
+    tokens = _tokenize(src)
+    terms: dict[tuple[int, ...], int] = {}
+    nmax = 0
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else (None, None, len(src))
+
+    def take():
+        nonlocal pos
+        t = peek()
+        pos += 1
+        return t
+
+    def parse_factor(coeff: int, mono: list[int]):
+        kind, val, at = take()
+        if kind == "int":
+            return coeff * val, mono
+        if kind == "var":
+            if val < 1:
+                raise PolynomialSyntaxError("variables are 1-indexed", at)
+            power = 1
+            if peek()[0] == "^":
+                take()
+                k2, p, at2 = take()
+                if k2 != "int":
+                    raise PolynomialSyntaxError("exponent must be an integer", at2)
+                power = p
+            mono = mono + [val] * power
+            return coeff, mono
+        raise PolynomialSyntaxError("expected an integer or a variable", at)
+
+    first = True
+    while pos < len(tokens):
+        sign = 1
+        kind, _, at = peek()
+        if kind in ("+", "-"):
+            take()
+            sign = -1 if kind == "-" else 1
+        elif not first:
+            raise PolynomialSyntaxError("terms must be joined by '+' or '-'", at)
+        first = False
+        coeff, mono = parse_factor(1, [])
+        while peek()[0] == "*":
+            take()
+            coeff, mono = parse_factor(coeff, mono)
+        key = tuple(sorted(mono))
+        terms[key] = terms.get(key, 0) + sign * coeff
+        nmax = max(nmax, max(mono, default=0))
+    return IntPolynomial(nmax, terms)
+
+
+def format_polynomial(p: IntPolynomial) -> str:
+    if not p.terms:
+        return "0"
+    items = sorted(p.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    parts = []
+    for mono, c in items:
+        factors = []
+        counts: dict[int, int] = {}
+        for v in mono:
+            counts[v] = counts.get(v, 0) + 1
+        for v in sorted(counts):
+            factors.append(f"x{v}" + (f"^{counts[v]}" if counts[v] > 1 else ""))
+        body = "*".join(factors)
+        mag = abs(c)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        parts.append(("- " if c < 0 else "+ ") + text)
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]

@@ -22,6 +22,17 @@ from .polynomials import QuadraticForm
 _MAX_WITNESSES = 20
 
 
+def _pool_map(fn, jobs: list, processes: int, chunksize: int | None = None) -> tuple[int, list]:
+    """fn over jobs, in a pool of `processes` workers when that exceeds 1;
+    sums the cases and concatenates the witnesses of the (cases, fails) parts."""
+    if processes <= 1:
+        parts = [fn(j) for j in jobs]
+    else:
+        with Pool(processes) as pool:
+            parts = pool.map(fn, jobs, chunksize)
+    return sum(c for c, _ in parts), [w for _, ws in parts for w in ws]
+
+
 def _coeff_ranges(d: int):
     """The literal coefficient space [0, 2d): every value for diagonal terms,
     even values only for cross/linear terms when d is even."""
@@ -84,14 +95,8 @@ def exhaustive_half_sweep(d: int, n: int, processes: int = 1) -> tuple[int, list
     if n == 0:
         return _half_chunk((d, 0, []))
     firsts = list(range(2 * d))  # alpha_11 is a diagonal coefficient
-    if processes <= 1 or len(firsts) < 2:
-        return _half_chunk((d, n, firsts))
-    chunks = [(d, n, firsts[i::processes]) for i in range(processes)]
-    with Pool(processes) as pool:
-        parts = pool.map(_half_chunk, chunks)
-    cases = sum(c for c, _ in parts)
-    fails = [w for _, ws in parts for w in ws]
-    return cases, fails
+    k = max(processes, 1)
+    return _pool_map(_half_chunk, [(d, n, firsts[i::k]) for i in range(k)], processes)
 
 
 def random_half_sweep(
@@ -146,12 +151,8 @@ def fourier_sweep(d: int, n: int, processes: int = 1) -> tuple[int, list]:
         fails = [(d, f.key(), j) for j in range(mod) if not fourier_zero_identity_check(d, f, j)]
         return mod, fails
     firsts = list(range(2 * d))
-    if processes <= 1:
-        return _fourier_chunk((d, n, firsts))
-    chunks = [(d, n, firsts[i::processes]) for i in range(processes)]
-    with Pool(processes) as pool:
-        parts = pool.map(_fourier_chunk, chunks)
-    return sum(c for c, _ in parts), [w for _, ws in parts for w in ws]
+    k = max(processes, 1)
+    return _pool_map(_fourier_chunk, [(d, n, firsts[i::k]) for i in range(k)], processes)
 
 
 def _circuit_case(args) -> tuple[int, list]:
@@ -177,12 +178,7 @@ def clifford_amplitude_sweep(
 ) -> tuple[int, list]:
     """`count` random circuits at dimension d, all output strings each."""
     jobs = [(d, seed0 + i, max_gates) for i in range(count)]
-    if processes <= 1:
-        parts = [_circuit_case(j) for j in jobs]
-    else:
-        with Pool(processes) as pool:
-            parts = pool.map(_circuit_case, jobs, chunksize=8)
-    return sum(c for c, _ in parts), [w for _, ws in parts for w in ws]
+    return _pool_map(_circuit_case, jobs, processes, chunksize=8)
 
 
 def _random_half_job(args):
@@ -194,12 +190,7 @@ def random_half_sweep_many(
     ds: list[int], n_max: int, count: int, seed: int, processes: int = 1
 ) -> tuple[int, list]:
     jobs = [(d, n_max, count, seed + d) for d in ds]
-    if processes <= 1:
-        parts = [_random_half_job(j) for j in jobs]
-    else:
-        with Pool(processes) as pool:
-            parts = pool.map(_random_half_job, jobs)
-    return sum(c for c, _ in parts), [w for _, ws in parts for w in ws]
+    return _pool_map(_random_half_job, jobs, processes)
 
 
 def selftest(

@@ -206,6 +206,28 @@ def test_internal_consistency_exit_code(capsys, monkeypatch):
     assert obj["error"]["kind"] == "internal-consistency"
 
 
+def test_unexpected_exception_exit_code(capsys, monkeypatch):
+    # anything outside the usage and consistency errors is an internal fault:
+    # exit code 2 and a JSON error naming the exception type, no traceback
+    from halfgauss import cli as climod
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(climod, "_cmd_gadgets", broken)
+    code, obj = _run_json(capsys, ["gadgets"])
+    assert code == 2
+    assert obj["error"]["kind"] == "RuntimeError"
+    assert obj["error"]["message"] == "boom"
+
+
+def test_eval_sum_2adic_modulus_2_pow_24(capsys):
+    poly = "2097152*x1^2 + 2097152*x1*x2 + 2097152*x2^2 + 2097152*x1*x3 + 4194304*x3^2"
+    code, obj = _run_json(capsys, ["eval-sum", "--d", "16777216", "--poly", poly])
+    assert code == 0
+    assert obj["value"]["pretty"] == "-73786976294838206464·√2·ζ_8^3"
+
+
 def test_approx_only_does_not_change_verdicts(capsys):
     code, obj = _run_json(
         capsys, ["--approx-only", "eval-sum", "--mode", "half", "--d", "2", "--poly", "x1^2"]

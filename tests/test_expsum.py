@@ -277,3 +277,40 @@ def test_n500_structural():
     sv = eval_half_gauss(60, f)
     assert sv.certificate.leaf_product() == sv.value
     assert not sv.certificate.uses_brute_force()
+
+
+def test_three_or_more_crt_parts_match_brute():
+    # moduli with 3 or 4 prime-power parts: every part feeds one frame
+    rng = random.Random(17)
+    for d in (30, 60, 90, 120, 210):
+        for _ in range(12):
+            n = rng.randrange(1, 3)
+            f = random_periodic_form(d, n, rng)
+            for conv in SignConvention:
+                sv = eval_half_gauss_with_convention(d, f, conv)
+                assert sv.value == brute_half_gauss(d, f, conv), (d, conv, f.key())
+                assert sv.certificate.leaf_product() == sv.value
+            g = QF(
+                n,
+                {(i, j): rng.randrange(d) for i in range(1, n + 1) for j in range(i, n + 1)},
+                {i: rng.randrange(d) for i in range(1, n + 1)},
+                rng.randrange(d),
+            )
+            sv = eval_gauss_quadratic(d, g)
+            assert sv.value == brute_sum(SumDescriptor(d, d, g.to_int_polynomial())), (d, g.key())
+            assert sv.certificate.leaf_product() == sv.value
+
+
+def test_2adic_high_valuation_cross_block_at_2_pow_24():
+    # the 2x2 block pivot at d = 2^24 stays on int64; d = 2^25 runs on object
+    # arrays, and the same form doubled there sums 2^3 copies of the d = 2^24 sum
+    f0 = QF(
+        3,
+        {(1, 1): 2**21, (1, 2): 2**21, (2, 2): 2**21, (1, 3): 2**21, (3, 3): 2**22},
+    )
+    small = eval_half_gauss(2**24, f0)
+    big = eval_half_gauss(2**25, f0.scale(2))
+    assert not small.value.is_zero()
+    assert big.value == small.value.scale(8)
+    assert small.certificate.leaf_product() == small.value
+    assert "block_two_2adic" in small.certificate.rule_counts()
