@@ -22,7 +22,6 @@ from .errors import (
     InternalConsistencyError,
 )
 from .expsum import (
-    Certificate,
     SumValue,
     check_periodicity,
     eval_gauss_quadratic,

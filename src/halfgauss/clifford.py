@@ -14,7 +14,10 @@ Gate semantics (omega = omega_d, xi = xi_d under the default convention):
 
 The qubit-only kinds H, S, SDAG, CS, CX are accepted by the statevector
 engine at d = 2 for the gadget demos; they are rejected by normalize, which
-works over the qudit gate set only.
+works over the qudit gate set only.  The single-qudit definitions live in one
+column table, `_gate_column`, read by the statevector oracle and gate_matrix
+only: normalize and phase_polynomial compile gates on their own, so the
+oracle stays independent of the fast path it checks.
 """
 
 from __future__ import annotations
@@ -35,9 +38,7 @@ from .gauss import q_constant
 from .expsum import eval_half_gauss
 from .polynomials import QuadraticForm
 
-QUDIT_KINDS = {"X", "Y", "Z", "F", "FDAG", "G", "CZ"}
 CLIFFORD_INTERNAL = {"Z", "G", "F", "CZ"}
-QUBIT_ONLY_KINDS = {"H", "S", "SDAG", "CS", "CX"}
 GATE_ARITY = {
     "X": 1, "Y": 1, "Z": 1, "F": 1, "FDAG": 1, "G": 1, "H": 1, "S": 1, "SDAG": 1,
     "CZ": 2, "CS": 2, "CX": 2,
@@ -418,6 +419,36 @@ def sample_many(nc, a, k, count, seed) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# single-qudit gate semantics
+
+_FOURIER_KINDS = {"F", "FDAG", "H"}  # their columns leave out a factor d^(-1/2)
+
+
+def _gate_column(kind: str, d: int, k: int) -> tuple[tuple[int, CyclotomicNumber], ...]:
+    """Column k of a single-qudit gate as (row, entry) pairs, without the
+    d^(-1/2) factor of the Fourier kinds.
+
+    H is the qubit Hadamard, the d = 2 Fourier gate; S and SDAG are qubit-only.
+    """
+    if kind == "X":
+        return (((k + 1) % d, one()),)
+    if kind == "Y":
+        return (((k - 1) % d, xi_pow(d, 1 - 2 * k)),)
+    if kind == "Z":
+        return ((k, root_of_unity(d, k)),)
+    if kind == "G":
+        return ((k, xi_pow(d, k * k)),)
+    if kind in _FOURIER_KINDS:
+        sign = -1 if kind == "FDAG" else 1
+        return tuple((l, root_of_unity(d, sign * k * l)) for l in range(d))
+    if kind in ("S", "SDAG"):
+        if d != 2:
+            raise ValueError(f"{kind} is qubit-only")
+        return ((k, root_of_unity(4, k if kind == "S" else -k)),)
+    raise ValueError(f"no single-qudit matrix for {kind}")
+
+
+# ---------------------------------------------------------------------------
 # exact statevector oracle
 
 
@@ -493,48 +524,17 @@ def _apply_gate(state, g, d, m, strides):
             out[j] = state[i]
         return out, 0
 
-    r = g.targets[0]
-    stride = strides[r]
-    if kind in ("H",):
-        kind = "F"  # qubit Hadamard is the d=2 Fourier gate
-    if kind in ("S", "SDAG") and d != 2:
-        raise ValueError(f"{kind} is qubit-only")
-    if kind == "F" or kind == "FDAG":
-        sign = 1 if kind == "F" else -1
-        out = [CyclotomicNumber.zero()] * size
-        for base in range(size):
-            if (base // stride) % d != 0:
-                continue
-            block = [state[base + k * stride] for k in range(d)]
-            if all(v.is_zero() for v in block):
-                continue
-            for l in range(d):
-                acc = CyclotomicNumber.zero()
-                for k in range(d):
-                    if not block[k].is_zero():
-                        acc = acc + block[k] * root_of_unity(d, sign * k * l)
-                out[base + l * stride] = acc
-        return out, 1
+    stride = strides[g.targets[0]]
     out = [CyclotomicNumber.zero()] * size
     for i in range(size):
-        if state[i].is_zero():
+        v = state[i]
+        if v.is_zero():
             continue
         k = (i // stride) % d
-        if kind == "X":
-            out[i + ((k + 1) % d - k) * stride] = state[i]
-        elif kind == "Y":
-            out[i + ((k - 1) % d - k) * stride] = state[i] * xi_pow(d, 1 - 2 * k)
-        elif kind == "Z":
-            out[i] = state[i] * root_of_unity(d, k)
-        elif kind == "G":
-            out[i] = state[i] * xi_pow(d, k * k)
-        elif kind == "S":
-            out[i] = state[i] * root_of_unity(4, k)
-        elif kind == "SDAG":
-            out[i] = state[i] * root_of_unity(4, -k)
-        else:
-            raise ValueError(f"unsupported gate kind {kind}")
-    return out, 0
+        for l, entry in _gate_column(kind, d, k):
+            j = i + (l - k) * stride
+            out[j] = out[j] + v * entry
+    return out, int(kind in _FOURIER_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -573,24 +573,10 @@ def gate_matrix(kind: str, d: int) -> list[list[CyclotomicNumber]]:
     """Exact d x d matrix of a single-qudit gate (columns indexed by input)."""
     zero = CyclotomicNumber.zero()
     mat = [[zero for _ in range(d)] for _ in range(d)]
-    inv_sqrt = inv_sqrt_d_power(d, 1)
+    scale = inv_sqrt_d_power(d, int(kind in _FOURIER_KINDS))
     for k in range(d):
-        if kind == "X":
-            mat[(k + 1) % d][k] = one()
-        elif kind == "Y":
-            mat[(k - 1) % d][k] = xi_pow(d, 1 - 2 * k)
-        elif kind == "Z":
-            mat[k][k] = root_of_unity(d, k)
-        elif kind == "G":
-            mat[k][k] = xi_pow(d, k * k)
-        elif kind == "F":
-            for l in range(d):
-                mat[l][k] = root_of_unity(d, k * l) * inv_sqrt
-        elif kind == "FDAG":
-            for l in range(d):
-                mat[l][k] = root_of_unity(d, -k * l) * inv_sqrt
-        else:
-            raise ValueError(f"no single-qudit matrix for {kind}")
+        for l, entry in _gate_column(kind, d, k):
+            mat[l][k] = entry * scale
     return mat
 
 

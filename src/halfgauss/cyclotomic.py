@@ -38,16 +38,6 @@ class SignConvention(Enum):
     MINUS_FOR_EVEN = "minus"
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (den monic up to sign)."""
     num = num[:]

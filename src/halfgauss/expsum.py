@@ -9,6 +9,8 @@ Two public evaluators:
   eval_gauss_quadratic(q, g) Z(q, g) = sum over Z_q^n of omega_q^g(x), for
                              arbitrary quadratic g.
 
+gap2(g), the Boolean gap sum over {0,1}^n of (-1)^g(x), is Z(2, g).
+
 Both run one core.  xi_q^2 = omega_q, so Z(q, g) = Z_{1/2}(q, 2g) for every
 q, and 2g always meets the periodicity condition; the core evaluates
 Z_{1/2}(q, f) as the sum over Z_q^n of omega_M^(u f(x)), where M =
@@ -18,16 +20,18 @@ Strategy: strip the constant as a global phase, split the modulus through the
 Chinese remainder theorem into all its prime powers in one loop (2-adic part
 first), and per prime power reduce the symmetric coefficient matrix by an
 exact congruence transform (unimodular shears) into 1x1 blocks, plus 2x2
-blocks with odd off-diagonal entry which only occur for p = 2.  Each block is
-a univariate or bivariate sum with a closed form built from the univariate
-Gauss/half-Gauss machinery.  The whole pipeline is deterministic and costs
-O(n^3) ring operations per prime power plus O(log q) per block, so evaluation
-is polynomial in n and log q with no branching and no brute-force fallback.
+blocks, which only occur for p = 2.  Each block is a univariate or bivariate
+sum with a closed form built from the univariate Gauss/half-Gauss machinery.
+The whole pipeline is deterministic and costs O(n^3) ring operations per
+prime power plus O(log q) per block, so evaluation is polynomial in n and
+log q with no branching and no brute-force fallback.
 
-Every evaluation returns a SumValue carrying a certificate: the ordered list
-of applied rules, where each multiplicative contribution appears as a leaf
-factor.  Multiplying the leaf factors back together reproduces the value.
-The rules: constant_phase and free_variables (leaves), trivial_modulus (leaf
+Every evaluation returns one SumValue: the exact value and the certificate
+steps, an ordered tuple of (rule, params, factor) entries in which each
+multiplicative contribution appears as a leaf factor (factor is None for
+structural steps).  Multiplying the leaf factors back together reproduces
+the value (`leaf_product`); `certificate` returns the result itself.  The
+rules: constant_phase and free_variables (leaves), trivial_modulus (leaf
 1) when nothing is left to sum, one crt_prime_power per prime-power part of
 a composite modulus, one congruence_reduction per frame, and one leaf per
 block (block_uni_2adic, block_uni_odd, block_two_2adic).  The minus sign
@@ -35,8 +39,6 @@ convention prepends minus_convention_rescale.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from functools import lru_cache
 
@@ -59,62 +61,46 @@ _INF = 1 << 30
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# the result
 
 
-@dataclass(frozen=True)
-class CertStep:
-    rule: str
-    params: tuple = ()
-    factor: CyclotomicNumber | None = None
+class SumValue:
+    """Evaluation result: the exact value and its certificate steps.
 
+    Each step is a (rule, params, factor) tuple; factor is None for a
+    structural step and the leaf factor otherwise, and the product of the
+    leaf factors equals the value.
+    """
 
-@dataclass
-class Certificate:
-    """Ordered evaluation trace; the product of leaf factors equals the value."""
+    __slots__ = ("value", "steps")
 
-    steps: list[CertStep] = field(default_factory=list)
+    def __init__(self, value: CyclotomicNumber, steps: tuple):
+        self.value = value
+        self.steps = steps
 
-    def add(self, rule: str, params: tuple = (), factor: CyclotomicNumber | None = None):
-        self.steps.append(CertStep(rule, params, factor))
+    @property
+    def certificate(self) -> "SumValue":
+        """The result is its own certificate."""
+        return self
 
     def leaf_product(self) -> CyclotomicNumber:
         out = one()
-        for s in self.steps:
-            if s.factor is not None:
-                out = out * s.factor
+        for _, _, factor in self.steps:
+            if factor is not None:
+                out = out * factor
         return out
 
     def rule_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for s in self.steps:
-            out[s.rule] = out.get(s.rule, 0) + 1
+        for rule, _, _ in self.steps:
+            out[rule] = out.get(rule, 0) + 1
         return out
 
     def uses_brute_force(self) -> bool:
-        return any(s.rule == "brute_force" for s in self.steps)
-
-
-class SumValue:
-    """Evaluation result: exact value plus a lazily materialized certificate."""
-
-    __slots__ = ("value", "_steps", "_cert")
-
-    def __init__(self, value: CyclotomicNumber, steps):
-        self.value = value
-        self._steps = steps
-        self._cert = None
-
-    @property
-    def certificate(self) -> Certificate:
-        if self._cert is None:
-            cert = Certificate()
-            cert.steps = list(self._steps)
-            self._cert = cert
-        return self._cert
+        return any(rule == "brute_force" for rule, _, _ in self.steps)
 
     def __repr__(self) -> str:
-        return f"SumValue({self.value!r}, {len(self._steps)} steps)"
+        return f"SumValue({self.value!r}, {len(self.steps)} steps)"
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +213,12 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
         phase = root_of_unity(q, c * delta * delta + e * delta)
         sub = _two_power2(k - 1, (a // 2) % qq, b % qq, (2 * c) % qq, g0 % qq, (2 * c * delta + e) % qq)
         return phase * sub.scale(2)
-    # b even
-    if a % 2 == 0 and c % 2 == 1:
-        a, c, d, e = c, a, e, d
-    if a % 2 == 1:
-        if d % 2 == 1:
-            return CyclotomicNumber.zero()
-        ainv = modinv(a, q)
-        bh, dh = b // 2, d // 2
-        aw = (c - ainv * bh * bh) % q
-        dw = (e - 2 * ainv * bh * dh) % q
-        gw = (-ainv * dh * dh) % q
-        return (gauss_sum(a, q) * root_of_unity(q, gw)) * _uni_half2(k, 2 * aw, dw)
+    # b even: every block from _reduce_symmetric has v(b) <= v(a), v(c), so
+    # a and c are even too, and halving all three keeps that order
+    assert a % 2 == 0 and c % 2 == 0, "two-variable block with v(b) > v(a) or v(c)"
     if d % 2 == 1 or e % 2 == 1:
         return CyclotomicNumber.zero()
-    if a % 2 == 0 and b % 2 == 0 and c % 2 == 0:
-        return _two_power2(k - 1, a // 2, b // 2, c // 2, d // 2, e // 2).scale(4)
-    raise AssertionError("unreachable two-variable case")
+    return _two_power2(k - 1, a // 2, b // 2, c // 2, d // 2, e // 2).scale(4)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +386,7 @@ def _frame_eval(
     m_mat: np.ndarray,
     b_vec: np.ndarray,
     mod: int,
-    cert: Certificate,
+    steps: list,
 ) -> CyclotomicNumber:
     """Evaluate the frame sum after congruence reduction."""
     q = p**k
@@ -421,7 +396,7 @@ def _frame_eval(
         bt = b2[t]
         if bt:
             b2 = (b2 - bt * u) % q
-    cert.add("congruence_reduction", (p, k, len(blocks)))
+    steps.append(("congruence_reduction", (p, k, len(blocks)), None))
     out = one()
     for blk in blocks:
         if blk[0] == "uni":
@@ -429,14 +404,14 @@ def _frame_eval(
             d = int(b2[i])
             if p == 2:
                 leaf = _uni_half2(k, mii, d)
-                cert.add("block_uni_2adic", (mii, d), leaf)
+                steps.append(("block_uni_2adic", (mii, d), leaf))
             else:
                 leaf = _uni_odd(p, k, mii, d)
-                cert.add("block_uni_odd", (mii, d), leaf)
+                steps.append(("block_uni_odd", (mii, d), leaf))
         else:
             _, i, j, mii, mij, mjj = blk
             leaf = _two_power2(k, mii // 2, mij, mjj // 2, int(b2[i]), int(b2[j]))
-            cert.add("block_two_2adic", (mii, mij, mjj), leaf)
+            steps.append(("block_two_2adic", (mii, mij, mjj), leaf))
         if leaf.is_zero():
             return CyclotomicNumber.zero()
         out = out * leaf
@@ -473,7 +448,7 @@ def _build_frame(p: int, q: int, alpha: tuple, beta: tuple, nvars: int, w: int):
 # the core (gamma stripped, variables compressed)
 
 
-def _core(q: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> CyclotomicNumber:
+def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> CyclotomicNumber:
     """Z_{1/2}(q, f) = sum over Z_q^n of omega_M^(u f(x)), M = xi_exponent_modulus(q).
 
     xi_q = omega_M^u with u = 1 for even q and (q+1)/2 for odd q.  With M_i
@@ -482,7 +457,7 @@ def _core(q: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> C
     into one frame per prime power, the 2-adic part first.
     """
     if q == 1 or nvars == 0:
-        cert.add("trivial_modulus", (q, nvars), one())
+        steps.append(("trivial_modulus", (q, nvars), one()))
         return one()
     mod = xi_exponent_modulus(q)
     u = 1 if q % 2 == 0 else (q + 1) // 2
@@ -492,10 +467,10 @@ def _core(q: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> C
         qi = p**k
         mi = xi_exponent_modulus(qi)
         if len(parts) > 1:
-            cert.add("crt_prime_power", (qi,))
+            steps.append(("crt_prime_power", (qi,), None))
         w = (u * modinv((mod // mi) % mi, mi)) % mi
         m, b = _build_frame(p, qi, alpha, beta, nvars, w)
-        part = _frame_eval(p, k, m, b, mi, cert)
+        part = _frame_eval(p, k, m, b, mi, steps)
         # no multiply by one: it costs a field embedding on every prime power
         out = part if out is None else out * part
         if out.is_zero():
@@ -505,9 +480,9 @@ def _core(q: int, alpha: tuple, beta: tuple, nvars: int, cert: Certificate) -> C
 
 @lru_cache(maxsize=1 << 16)
 def _core_cached(q: int, alpha: tuple, beta: tuple, nvars: int):
-    cert = Certificate()
-    value = _core(q, alpha, beta, nvars, cert)
-    return value, tuple(cert.steps)
+    steps: list = []
+    value = _core(q, alpha, beta, nvars, steps)
+    return value, tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -553,23 +528,29 @@ def _prepare(f: QuadraticForm, mod: int):
     return alpha_key, beta_key, nused, f.n - nused
 
 
+def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, phase) -> SumValue:
+    """Z_{1/2}(q, f) from the core, times phase(q, gamma) (computed only when
+    gamma != 0) and q per variable that f does not use; mod is the exponent
+    modulus xi_exponent_modulus(q)."""
+    alpha, beta, nused, nfree = _prepare(f, mod)
+    value, steps = _core_cached(q, alpha, beta, nused)
+    head: tuple = ()
+    if gamma:
+        factor = phase(q, gamma)
+        head += (("constant_phase", (gamma,), factor),)
+        value = factor * value
+    if nfree:
+        head += (("free_variables", (nfree,), CyclotomicNumber.from_rational(q**nfree)),)
+        value = value.scale(q**nfree)
+    return SumValue(value, head + steps if head else steps)
+
+
 def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
     """Exact Z_{1/2}(d, f) for periodic quadratic f, in polynomial time."""
     if d < 1:
         raise ValueError("d must be positive")
     mod = xi_exponent_modulus(d)
-    alpha, beta, nused, nfree = _prepare(f, mod)
-    value, steps = _core_cached(d, alpha, beta, nused)
-    head: tuple = ()
-    gamma = f.gamma0 % mod
-    if gamma:
-        phase = xi_pow(d, gamma)
-        head += (CertStep("constant_phase", (gamma,), phase),)
-        value = phase * value
-    if nfree:
-        head += (CertStep("free_variables", (nfree,), CyclotomicNumber.from_rational(d**nfree)),)
-        value = value.scale(d**nfree)
-    return SumValue(value, head + steps if head else steps)
+    return _evaluate(d, f, mod, f.gamma0 % mod, xi_pow)
 
 
 def eval_gauss_quadratic(q: int, g: QuadraticForm) -> SumValue:
@@ -580,18 +561,7 @@ def eval_gauss_quadratic(q: int, g: QuadraticForm) -> SumValue:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    alpha, beta, nused, nfree = _prepare(g.scale(2), xi_exponent_modulus(q))
-    value, steps = _core_cached(q, alpha, beta, nused)
-    head: tuple = ()
-    gamma = g.gamma0 % q
-    if gamma:
-        phase = root_of_unity(q, gamma)
-        head += (CertStep("constant_phase", (gamma,), phase),)
-        value = phase * value
-    if nfree:
-        head += (CertStep("free_variables", (nfree,), CyclotomicNumber.from_rational(q**nfree)),)
-        value = value.scale(q**nfree)
-    return SumValue(value, head + steps if head else steps)
+    return _evaluate(q, g.scale(2), xi_exponent_modulus(q), g.gamma0 % q, root_of_unity)
 
 
 def eval_half_gauss_with_convention(
@@ -606,70 +576,15 @@ def eval_half_gauss_with_convention(
     if conv is SignConvention.PLUS or d % 2 == 1:
         return eval_half_gauss(d, f)
     out = eval_half_gauss(d, f.scale(d + 1))
-    return SumValue(out.value, (CertStep("minus_convention_rescale", (d + 1,)),) + tuple(out._steps))
-
-
-# ---------------------------------------------------------------------------
-# GF(2) gap (base case for 2-power sums and the Table-1 fast paths)
+    return SumValue(out.value, (("minus_convention_rescale", (d + 1,), None),) + out.steps)
 
 
 def gap2(g: QuadraticForm) -> int:
     """Exact gap(g) = sum over x in {0,1}^n of (-1)^g(x), for quadratic g.
 
-    Works over GF(2): x^2 folds to x, coefficients fold mod 2.  Eliminates a
-    variable per step via linear restriction, so the cost is polynomial.
+    This is Z(2, g), since omega_2 = -1, so the one evaluator computes it.
     """
-    pairs: set[tuple[int, int]] = set()
-    lins: set[int] = set()
-    const = 0
-    for (i, j), c in g.alpha.items():
-        if c % 2 == 0:
-            continue
-        if i == j:
-            lins ^= {i}
-        else:
-            pairs ^= {(i, j)}
-    for i, c in g.beta.items():
-        if c % 2:
-            lins ^= {i}
-    const = g.gamma0 % 2
-    nvars = g.n
-
-    factor = 1
-    while pairs:
-        i = next(iter(pairs))[0]
-        nbr = {j for (a, b) in pairs for j in ((b,) if a == i else (a,) if b == i else ()) }
-        bit = 1 if i in lins else 0
-        # remove x_i's terms; the x_i-sum forces ell_i = 0
-        pairs = {p for p in pairs if i not in p}
-        lins.discard(i)
-        j = next(iter(nbr))
-        rest = nbr - {j}
-        # substitute x_j = bit + sum(rest) into the remainder
-        new_pairs: set[tuple[int, int]] = set()
-        for (a, b) in pairs:
-            if j not in (a, b):
-                new_pairs ^= {(a, b)}
-                continue
-            other = b if a == j else a
-            for t in rest:
-                if t == other:
-                    lins ^= {other}
-                else:
-                    new_pairs ^= {(min(t, other), max(t, other))}
-            if bit:
-                lins ^= {other}
-        pairs = new_pairs
-        if j in lins:
-            lins.discard(j)
-            for t in rest:
-                lins ^= {t}
-            const ^= bit
-        factor *= 2
-        nvars -= 2
-    if lins:
-        return 0
-    return factor * (1 if const == 0 else -1) * (1 << nvars)
+    return int(eval_gauss_quadratic(2, g).value.as_rational())
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from halfgauss.clifford import (
     amplitude,
     circuit_from_polynomial,
     format_circuit,
+    gate_matrix,
     normalize,
     parse_circuit_text,
     phase_polynomial,
@@ -233,6 +234,21 @@ def test_statevector_examples_and_budget():
     assert sv[2] == root_of_unity(3, 2)
     with pytest.raises(BudgetExceededError):
         statevector(Circuit(2, 13, ()), (0,) * 13)
+
+
+def test_statevector_and_gate_matrix_share_columns():
+    for d in range(2, 7):
+        kinds = ["X", "Y", "Z", "G", "F", "FDAG"] + (["H", "S", "SDAG"] if d == 2 else [])
+        for kind in kinds:
+            mat = gate_matrix(kind, d)
+            for k in range(d):
+                sv = statevector(Circuit(d, 1, (Gate(kind, (0,)),)), (k,))
+                assert sv == [mat[l][k] for l in range(d)], (kind, d, k)
+    for kind in ("S", "SDAG"):
+        with pytest.raises(ValueError):
+            gate_matrix(kind, 3)
+        with pytest.raises(ValueError):
+            statevector(Circuit(3, 1, (Gate(kind, (0,)),)), (0,))
 
 
 def test_verify_gate_relations():

@@ -226,6 +226,16 @@ def test_minus_convention_evaluator():
         assert got == want
 
 
+def test_minus_convention_certificate():
+    rng = random.Random(15)
+    for _ in range(40):
+        d = 2 * rng.randrange(1, 9)
+        f = random_periodic_form(d, rng.randrange(0, 4), rng)
+        sv = eval_half_gauss_with_convention(d, f, SignConvention.MINUS_FOR_EVEN)
+        assert sv.certificate.steps[0] == ("minus_convention_rescale", (d + 1,), None)
+        assert sv.certificate.leaf_product() == sv.value
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 10), st.data())
 def test_hypothesis_scaling_by_units(d, data):
