@@ -13,8 +13,9 @@ Gate semantics (omega = omega_d, xi = xi_d under the default convention):
     CZ|k1,k2> = omega^(k1 k2)|k1,k2>              CCZ adds omega^(k1 k2 k3)
 
 The qubit-only kinds H, S, SDAG, CS, CX are accepted by the statevector
-engine at d = 2 for the gadget demos; they are rejected by normalize, which
-works over the qudit gate set only.  The single-qudit definitions live in one
+engine at d = 2 for the gadget demos; H, S, SDAG and CS raise ValueError at
+d != 2 there and in gate_matrix, and normalize rejects all five, as it works
+over the qudit gate set only.  The single-qudit definitions live in one
 column table, `_gate_column`, read by the statevector oracle and gate_matrix
 only: normalize and phase_polynomial compile gates on their own, so the
 oracle stays independent of the fast path it checks.
@@ -428,8 +429,11 @@ def _gate_column(kind: str, d: int, k: int) -> tuple[tuple[int, CyclotomicNumber
     """Column k of a single-qudit gate as (row, entry) pairs, without the
     d^(-1/2) factor of the Fourier kinds.
 
-    H is the qubit Hadamard, the d = 2 Fourier gate; S and SDAG are qubit-only.
+    H is the qubit Hadamard, the d = 2 Fourier gate; H, S and SDAG are
+    refused at d != 2.
     """
+    if kind in ("H", "S", "SDAG") and d != 2:
+        raise ValueError(f"{kind} is qubit-only")
     if kind == "X":
         return (((k + 1) % d, one()),)
     if kind == "Y":
@@ -442,8 +446,6 @@ def _gate_column(kind: str, d: int, k: int) -> tuple[tuple[int, CyclotomicNumber
         sign = -1 if kind == "FDAG" else 1
         return tuple((l, root_of_unity(d, sign * k * l)) for l in range(d))
     if kind in ("S", "SDAG"):
-        if d != 2:
-            raise ValueError(f"{kind} is qubit-only")
         return ((k, root_of_unity(4, k if kind == "S" else -k)),)
     raise ValueError(f"no single-qudit matrix for {kind}")
 
@@ -494,6 +496,8 @@ def _apply_gate(state, g, d, m, strides):
     size = len(state)
     kind = g.kind
     out = state
+    if kind == "CS" and d != 2:
+        raise ValueError("CS is qubit-only")
     if kind in ("CZ", "CS", "CCZ"):
         s1, s2 = strides[g.targets[0]], strides[g.targets[1]]
         s3 = strides[g.targets[2]] if kind == "CCZ" else 0

@@ -354,7 +354,7 @@ def one() -> CyclotomicNumber:
     return CyclotomicNumber.from_rational(1)
 
 
-def xi_exponent_modulus(d: int, conv: SignConvention = SignConvention.PLUS) -> int:
+def xi_exponent_modulus(d: int) -> int:
     """Modulus at which xi_d exponents may be reduced (xi^mod = 1)."""
     return d if d % 2 == 1 else 2 * d
 

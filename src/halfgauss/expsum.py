@@ -20,8 +20,15 @@ Strategy: strip the constant as a global phase, split the modulus through the
 Chinese remainder theorem into all its prime powers in one loop (2-adic part
 first), and per prime power reduce the symmetric coefficient matrix by an
 exact congruence transform (unimodular shears) into 1x1 blocks, plus 2x2
-blocks, which only occur for p = 2.  Each block is a univariate or bivariate
-sum with a closed form built from the univariate Gauss/half-Gauss machinery.
+blocks, which only occur for p = 2: the Jordan splitting of a p-adic form.
+One kernel does it, as dense elimination on a shrinking trailing block.
+Each pivot is an entry of least p-adic valuation (a diagonal one first,
+then the smallest variable index), moves to the front of the block, and the
+block takes one Schur-complement update T <- T - u r^T mod M.  That
+one-sided update is the two-sided congruence S^T M S exactly, because the
+pivot times u is the pivot row r mod M.  Each block is a univariate or
+bivariate sum with a closed form built from the univariate Gauss/half-Gauss
+machinery.
 The whole pipeline is deterministic and costs O(n^3) ring operations per
 prime power plus O(log q) per block, so evaluation is polynomial in n and
 log q with no branching and no brute-force fallback.
@@ -54,10 +61,8 @@ from .cyclotomic import (
 )
 from .errors import AperiodicPolynomialError
 from .gauss import gauss_sum, half_gauss_sum
-from .numtheory import factorize, modinv, valuation
+from .numtheory import factorize, modinv
 from .polynomials import QuadraticForm
-
-_INF = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,7 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
 #                     free; cross terms are the even alpha_ij halved);
 # and for odd p:      mod = q, lin = 1, M_ii = alpha_ii, M_ij = alpha_ij / 2
 #                     via the inverse of 2 mod q.
-# Shears x -> x - u x_l are unimodular, so they permute Z_q^n and preserve
+# Shears x_t -> z_t - u.z are unimodular, so they permute Z_q^n and preserve
 # the sum exactly; valuations never drop below the current minimum, so every
 # pivot quotient is integral at the working modulus.
 
@@ -237,130 +242,91 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
 def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     """Block-diagonalize symmetric M by congruence; returns (shears, blocks).
 
-    Each shear is a pair (t, u): the substitution x_t <- z_t - u.z, recorded
-    in application order so the linear part transforms as B <- B - B_t u.
-    Blocks are ("uni", i, m_ii) or ("two", i, j, m_ii, m_ij, m_jj) entries
-    stored at the frame modulus.
+    One loop over the trailing block T = m[s:, s:] of the not yet eliminated
+    variables.  Every entry of T has valuation at least e, and e never drops:
+    the pivot is an entry of valuation exactly e, a diagonal one before a
+    cross one, and among those the one with the smallest original variable
+    index.  It moves to the front of T and T takes one Schur-complement
+    update, T <- T - u r^T mod M with r the pivot row and u = r / m_ss.
+    The congruence S^T M S of the shear gives T - u r^T - r u^T + m_ss u u^T,
+    which is the same, since m_ss u = r mod M.  A 2x2 pivot (p = 2 only)
+    takes two outer products, with (u1; u2) = P^(-1) (r1; r2).  At odd p a
+    cross pivot is bumped onto the diagonal first.
+
+    Each shear is a pair (t, u): the substitution x_t <- z_t - u.z, with u
+    an n-vector at the frame modulus, recorded in application order so the
+    linear part transforms as B <- B - B_t u (mod q).  Blocks are ("uni", i,
+    m_ii) or ("two", i, j, m_ii, m_ij, m_jj) entries at the frame modulus.
     """
     m = m_mat.copy()
-    n0 = m.shape[0]
-    idx = list(range(n0))  # local position -> original variable index
+    n = m.shape[0]
+    idx = np.arange(n)  # position -> original variable index
     shears: list[tuple[int, np.ndarray]] = []
-    active = [True] * n0
     blocks: list[tuple] = []
 
-    def emin() -> int:
-        best = _INF
-        size = m.shape[0]
-        for i in range(size):
-            if not active[i]:
-                continue
-            for j in range(i, size):
-                if active[j] and m[i, j] != 0:
-                    v = valuation(int(m[i, j]), p)
-                    if v < best:
-                        best = v
-                        if best == 0:
-                            return 0
-        return best
+    def swap(a: int, t: int):
+        # positions a and t of m[s:, s:]: rows, then the rows of m.T
+        if a != t:
+            for v in (m, m.T):
+                row = v[t, s:].copy()
+                v[t, s:] = v[a, s:]
+                v[a, s:] = row
+            idx[t], idx[a] = idx[a], idx[t]
 
-    def record_shear(i: int, u: np.ndarray):
-        u_orig = np.zeros(n0, dtype=m.dtype)
-        u_orig[idx] = u % q
-        shears.append((idx[i], u_orig))
-
-    def shear(i: int, u: np.ndarray):
-        # substitution x_i <- z_i - sum_l u_l z_l, applied as S^T M S:
-        # row op then col op with the updated column
-        np.subtract(m, np.outer(u, m[i]), out=m)
-        np.remainder(m, mod, out=m)
-        np.subtract(m, np.outer(m[:, i], u), out=m)
-        np.remainder(m, mod, out=m)
-        record_shear(i, u)
-
-    def clear_with_diag(i: int):
-        piv = int(m[i, i])
-        e = valuation(piv, p)
-        w = modinv((piv // p**e) % mod, mod)
-        row = m[i].copy()
-        row[i] = 0
-        u = ((row // p**e) * w) % mod
-        if np.any(u):
-            shear(i, u)
-
-    def clear_with_block(i: int, j: int):
-        mii, mij, mjj = int(m[i, i]), int(m[i, j]), int(m[j, j])
-        det = mii * mjj - mij * mij
-        pe2 = p ** (2 * valuation(int(mij), p))
-        w = modinv((det // pe2) % mod, mod)
-        # every entry is a multiple of sqrt(pe2), so the numerators divide
-        # exactly; reducing before the multiply by w keeps int64 in range
-        u1 = (((mjj * m[i] - mij * m[j]) // pe2) % mod * w) % mod
-        u2 = (((mii * m[j] - mij * m[i]) // pe2) % mod * w) % mod
-        u1[i] = u1[j] = 0
-        u2[i] = u2[j] = 0
-        if np.any(u1):
-            shear(i, u1)
-        if np.any(u2):
-            shear(j, u2)
-
-    def compact():
-        nonlocal m, idx, active
-        size = m.shape[0]
-        live = sum(active)
-        if size > 32 and live * 5 <= size * 3:
-            keep = [t for t in range(size) if active[t]]
-            m = np.ascontiguousarray(m[np.ix_(keep, keep)])
-            idx = [idx[t] for t in keep]
-            active = [True] * live
-
-    while any(active):
-        compact()
-        e = emin()
-        size = m.shape[0]
-        if e == _INF:
-            for i in range(size):
-                if active[i]:
-                    blocks.append(("uni", idx[i], 0))
-                    active[i] = False
-            break
-        pe1 = p ** (e + 1)
-        diag = next(
-            (i for i in range(size) if active[i] and m[i, i] != 0 and int(m[i, i]) % pe1 != 0),
-            None,
-        )
-        if diag is not None:
-            clear_with_diag(diag)
-            blocks.append(("uni", idx[diag], int(m[diag, diag])))
-            m[diag, :] = 0
-            m[:, diag] = 0
-            active[diag] = False
-            continue
-        cross = None
-        for i in range(size):
-            if not active[i]:
-                continue
-            for j in range(i + 1, size):
-                if active[j] and m[i, j] != 0 and int(m[i, j]) % pe1 != 0:
-                    cross = (i, j)
+    s = 0
+    pe = 1  # p^e
+    while s < n:
+        # nothing has valuation below e: nonzero mod p^(e+1) means exactly e
+        hit = (m.diagonal()[s:] % (pe * p)).nonzero()[0]
+        if hit.size:
+            swap(s + hit[idx[s:][hit].argmin()], s)
+            block = ("uni", int(idx[s]), int(m[s, s]))
+            k, det, num = 1, block[2], (m[s, s + 1 :],)
+        else:
+            cand = m[s:, s:] % (pe * p) != 0
+            rows = cand.any(axis=1).nonzero()[0] + s
+            if not rows.size:
+                if not m[s:, s:].any():
+                    blocks.extend(("uni", int(i), 0) for i in np.sort(idx[s:]))
                     break
-            if cross:
-                break
-        assert cross is not None
-        i, j = cross
-        if p != 2:
-            # bump the cross onto a diagonal: x_i -> x_i + x_j
-            u = np.zeros(size, dtype=m.dtype)
-            u[j] = -1
-            shear(i, u)
-            continue
-        clear_with_block(i, j)
-        blocks.append(("two", idx[i], idx[j], int(m[i, i]), int(m[i, j]), int(m[j, j])))
-        m[i, :] = 0
-        m[:, i] = 0
-        m[j, :] = 0
-        m[:, j] = 0
-        active[i] = active[j] = False
+                pe *= p
+                continue
+            a = rows[idx[rows].argmin()]
+            cols = cand[a - s].nonzero()[0] + s
+            b = cols[idx[cols].argmin()]
+            if p != 2:
+                # x_a -> x_a + x_b adds 2 m_ab + m_aa, of valuation e, to m_bb
+                for v in (m, m.T):
+                    v[b, s:] += v[a, s:]
+                    v[b, s:] %= mod
+                u = np.zeros(n, dtype=m.dtype)
+                u[idx[b]] = mod - 1
+                shears.append((int(idx[a]), u))
+                continue
+            swap(a, s)
+            swap(a if b == s else b, s + 1)
+            mii, mij, mjj = (int(x) for x in (m[s, s], m[s, s + 1], m[s + 1, s + 1]))
+            block = ("two", int(idx[s]), int(idx[s + 1]), mii, mij, mjj)
+            r1, r2 = m[s, s + 2 :], m[s + 1, s + 2 :]
+            # adj(P) (r1; r2): every entry is a multiple of pe, so it divides
+            # exactly by pe^2, and reducing before the multiply by w keeps
+            # int64 in range
+            k, det, num = 2, mii * mjj - mij * mij, (mjj * r1 - mij * r2, mii * r2 - mij * r1)
+        pk = pe**k
+        w = pow(det // pk % mod, -1, mod)
+        t = m[s + k :, s + k :]
+        recorded = len(shears)
+        for i in range(k):
+            u = num[i] // pk % mod * w % mod
+            if np.count_nonzero(u):
+                t -= np.multiply.outer(u, m[s + i, s + k :])
+                u_orig = np.zeros(n, dtype=m.dtype)
+                u_orig[idx[s + k :]] = u
+                shears.append((int(idx[s + i]), u_orig))
+        if len(shears) > recorded:
+            t %= mod
+        blocks.append(block)
+        s += k
 
     return shears, blocks
 

@@ -112,14 +112,3 @@ def factorize(d: int) -> list[tuple[int, int]]:
     if d > 1:
         out.append((d, 1))
     return sorted(out)
-
-
-def valuation(x: int, p: int) -> int:
-    """p-adic valuation of x; returns a large sentinel for x = 0."""
-    if x == 0:
-        return 1 << 30
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v

@@ -244,11 +244,13 @@ def test_statevector_and_gate_matrix_share_columns():
             for k in range(d):
                 sv = statevector(Circuit(d, 1, (Gate(kind, (0,)),)), (k,))
                 assert sv == [mat[l][k] for l in range(d)], (kind, d, k)
-    for kind in ("S", "SDAG"):
+    for kind in ("H", "S", "SDAG"):
         with pytest.raises(ValueError):
             gate_matrix(kind, 3)
         with pytest.raises(ValueError):
             statevector(Circuit(3, 1, (Gate(kind, (0,)),)), (0,))
+    with pytest.raises(ValueError):
+        statevector(Circuit(3, 2, (Gate("CS", (0, 1)),)), (1, 1))
 
 
 def test_verify_gate_relations():

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -324,3 +325,53 @@ def test_2adic_high_valuation_cross_block_at_2_pow_24():
     assert big.value == small.value.scale(8)
     assert small.certificate.leaf_product() == small.value
     assert "block_two_2adic" in small.certificate.rule_counts()
+
+
+def test_congruence_kernel_contract():
+    # rebuild S from the shears of _reduce_symmetric and check that S^T M S
+    # is the returned block diagonal: diagonals at the frame modulus, other
+    # entries mod q at p = 2 (where they enter doubled) and at the frame
+    # modulus at odd p; every variable lies in exactly one block
+    from halfgauss.expsum import _build_frame, _prepare, _reduce_symmetric
+
+    rng = random.Random(23)
+    frames = 0
+    kinds = set()
+    for t in range(500):
+        p = (2, 3, 5, 7)[t % 4]
+        k = 25 if t % 50 == 0 else rng.randrange(1, {2: 7, 3: 5, 5: 3, 7: 3}[p])
+        q = p**k
+        f = random_periodic_form(q, rng.randrange(1, 9), rng, rng.choice([1.0, 0.6, 0.3]))
+        f = f.scale(rng.choice([1, p, p * p]))
+        mod = xi_exponent_modulus(q)
+        alpha, beta, nused, _ = _prepare(f, mod)
+        if nused == 0:
+            continue
+        m, _ = _build_frame(p, q, alpha, beta, nused, 1)
+        shears, blocks = _reduce_symmetric(p, q, m, mod)
+        s = np.identity(nused, dtype=object)
+        for i, u in shears:
+            step = np.identity(nused, dtype=object)
+            step[i] -= u.astype(object)
+            s = s.dot(step) % mod
+        red = s.T.dot(m.astype(object)).dot(s) % mod
+        want = np.zeros((nused, nused), dtype=object)
+        covered = []
+        for blk in blocks:
+            kinds.add(blk[0])
+            if blk[0] == "uni":
+                _, i, mii = blk
+                want[i, i] = mii
+                covered.append(i)
+            else:
+                _, i, j, mii, mij, mjj = blk
+                want[i, i], want[i, j], want[j, i], want[j, j] = mii, mij, mij, mjj
+                covered += [i, j]
+        assert sorted(covered) == list(range(nused)), (p, q, blocks)
+        off = q if p == 2 else mod
+        for i in range(nused):
+            for j in range(nused):
+                assert (red[i, j] - want[i, j]) % (mod if i == j else off) == 0, (p, q, i, j)
+        assert p == 2 or all(blk[0] == "uni" for blk in blocks)
+        frames += 1
+    assert frames >= 300 and kinds == {"uni", "two"}

@@ -11,7 +11,6 @@ from halfgauss.numtheory import (
     factorize,
     jacobi_symbol,
     modinv,
-    valuation,
 )
 
 
@@ -125,6 +124,3 @@ def test_modinv_and_valuation():
     assert modinv(3, 16) * 3 % 16 == 1
     with pytest.raises(ValueError):
         modinv(4, 16)
-    assert valuation(48, 2) == 4
-    assert valuation(48, 3) == 1
-    assert valuation(0, 5) > 10**6
