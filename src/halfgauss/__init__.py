@@ -31,7 +31,7 @@ from .expsum import (
     random_periodic_form,
 )
 from .gauss import gauss_sum, half_gauss_sum, q_constant
-from .numtheory import CrtSplit, crt_split, extended_gcd, factorize, jacobi_symbol
+from .numtheory import extended_gcd, factorize, jacobi_symbol
 from .oracle import (
     SumDescriptor,
     brute_half_gauss,

@@ -27,8 +27,10 @@ then the smallest variable index), moves to the front of the block, and the
 block takes one Schur-complement update T <- T - u r^T mod M.  That
 one-sided update is the two-sided congruence S^T M S exactly, because the
 pivot times u is the pivot row r mod M.  Each block is a univariate or
-bivariate sum with a closed form built from the univariate Gauss/half-Gauss
-machinery.
+bivariate sum with a closed form.  These leaves are the only home of the
+closed forms (`gauss_sum` and `half_gauss_sum` are one-variable calls of the
+evaluators): (a/q) G(1, q) at odd q = p^k, and G_{1/2}(m, 2^k) = 2^((k-1)/2)
+(1 + i^m) or 2^(k/2) omega_8^m by the parity of k.
 The whole pipeline is deterministic and costs O(n^3) ring operations per
 prime power plus O(log q) per block, so evaluation is polynomial in n and
 log q with no branching and no brute-force fallback.
@@ -56,12 +58,12 @@ from .cyclotomic import (
     SignConvention,
     one,
     root_of_unity,
+    sqrt_int,
     xi_exponent_modulus,
     xi_pow,
 )
 from .errors import AperiodicPolynomialError
-from .gauss import gauss_sum, half_gauss_sum
-from .numtheory import factorize, modinv
+from .numtheory import factorize, jacobi_symbol, modinv
 from .polynomials import QuadraticForm
 
 
@@ -130,6 +132,12 @@ def check_periodicity(d: int, f: QuadraticForm) -> bool:
 # closed-form leaf sums (memoized on integer arguments)
 
 
+@lru_cache(maxsize=1 << 12)
+def _gauss_one(q: int) -> CyclotomicNumber:
+    """G(1, q) for odd q: sqrt(q), times i when q = 3 (mod 4)."""
+    return sqrt_int(q) * root_of_unity(4, 1) if q % 4 == 3 else sqrt_int(q)
+
+
 @lru_cache(maxsize=1 << 16)
 def _uni_odd(p: int, k: int, a: int, d: int) -> CyclotomicNumber:
     """Sum over z in Z_{p^k} of omega_{p^k}^(a z^2 + d z), p odd."""
@@ -141,8 +149,14 @@ def _uni_odd(p: int, k: int, a: int, d: int) -> CyclotomicNumber:
     if a == 0:
         return CyclotomicNumber.from_rational(q if d == 0 else 0)
     if a % p != 0:
+        # G(a, q) = (a/q) G(1, q); a linear term completes the square with
+        # the shift s = d / 2a, and s = 0 needs no phase (a phase of 1 at
+        # conductor q would only inflate the conductor of the value)
+        g = _gauss_one(q).scale(jacobi_symbol(a, q))
+        if not d:
+            return g
         s = (modinv((2 * a) % q, q) * d) % q
-        return root_of_unity(q, -a * s * s) * gauss_sum(a, q)
+        return root_of_unity(q, -a * s * s) * g
     if d % p != 0:
         return CyclotomicNumber.zero()
     return _uni_odd(p, k - 1, a // p, d // p).scale(p)
@@ -157,10 +171,15 @@ def _uni_half2(k: int, m: int, d: int) -> CyclotomicNumber:
     if k == 0:
         return one()
     if m % 2 == 1:
-        # complete the square: m odd is invertible, the shift is an integer,
-        # and the summand has period q, so the shifted sum is G_{1/2}(m, q)
+        # G_{1/2}(m, 2^k) is 1 + i^m at k = 1 and 2 omega_8^m at k = 2, and
+        # doubles whenever k grows by 2: 2^((k-1)/2) (1 + i^m) for odd k,
+        # 2^(k/2) omega_8^m for even k.  A linear term completes the square
+        # (m is invertible, the shift an integer, the period q).
+        g = (one() + root_of_unity(4, m) if k % 2 else root_of_unity(8, m)).scale(1 << (k // 2))
+        if not d:
+            return g
         s = (modinv(m, q) * d) % q
-        return root_of_unity(2 * q, -m * s * s) * half_gauss_sum(m, q)
+        return root_of_unity(2 * q, -m * s * s) * g
     # m = 2a: the full sum of omega_{2^k}^(a z^2 + d z)
     a = m // 2
     if a == 0:
@@ -210,7 +229,7 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
             du = (4 * c * delta + 2 * e - 2 * ainv * b * g0) % (2 * q)
             gu = (c * delta * delta + e * delta - ainv * g0 * g0) % q
             tail = _uni_half2(k - 1, au, (du // 2) % (q // 2))
-            return (gauss_sum(a, q) * root_of_unity(q, gu)) * tail
+            return (_uni_half2(k, 2 * a, 0) * root_of_unity(q, gu)) * tail
         # both diagonals even: restrict w-parity, descend the z-modulus
         delta = d & 1
         g0 = (b * delta + d) // 2

@@ -1,26 +1,11 @@
-"""Integer utilities: gcd/inverse, Jacobi symbol, factorization, CRT splitting.
+"""Integer utilities: gcd/inverse, Jacobi symbol, factorization.
 
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 FACTOR_CAP = 1 << 63
-
-
-@dataclass(frozen=True)
-class CrtSplit:
-    """Decomposition d = b*c with b the maximal 2-power, plus Bezout data.
-
-    Invariants: b*c = d, gcd(b, c) = 1, c odd, and n1*c + n2*b = 1.
-    """
-
-    b: int
-    c: int
-    n1: int
-    n2: int
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -67,20 +52,6 @@ def jacobi_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def crt_split(d: int) -> CrtSplit:
-    """Split even d as b*c with b = 2^m maximal; n1 is canonicalized into (-b/2, b/2]."""
-    if d < 2 or d % 2 != 0:
-        raise ValueError(f"crt_split needs even d >= 2, got {d}")
-    b = d & (-d)
-    c = d // b
-    n1 = modinv(c, b)
-    if n1 > b // 2:
-        n1 -= b
-    n2 = (1 - n1 * c) // b
-    assert n1 * c + n2 * b == 1
-    return CrtSplit(b=b, c=c, n1=n1, n2=n2)
 
 
 def factorize(d: int) -> list[tuple[int, int]]:

@@ -253,12 +253,9 @@ def test_big_modulus_object_path():
     # moduli beyond the int64-safe window route through exact object arrays
     big_even = 1 << 26
     big_odd = 5**12
-    assert eval_gauss_quadratic(big_even, QF(1, {(1, 1): 3})).value == __import__(
-        "halfgauss.gauss", fromlist=["gauss_sum"]
-    ).gauss_sum(3, big_even)
-    assert eval_gauss_quadratic(big_odd, QF(1, {(1, 1): 2})).value == __import__(
-        "halfgauss.gauss", fromlist=["gauss_sum"]
-    ).gauss_sum(2, big_odd)
+    # G(3, 2^26) = 2 G_{1/2}(3, 2^25) = 2^13 (1 + i^3); G(2, 5^12) = (2/5^12) 5^6
+    assert eval_gauss_quadratic(big_even, QF(1, {(1, 1): 3})).value == (one() - I).scale(1 << 13)
+    assert eval_gauss_quadratic(big_odd, QF(1, {(1, 1): 2})).value == 5**6
     rng = random.Random(16)
     for q in (big_even, big_odd, 3 * (1 << 26)):
         f = QF(

@@ -1,5 +1,5 @@
 import math
-
+import random
 
 import pytest
 
@@ -80,6 +80,27 @@ def test_exhaustive_direct_sum_small():
                 assert half_gauss_sum(a, d, conv) == direct_half(a, d, conv)
 
 
+def test_two_power_closed_forms_beyond_small_moduli():
+    # G_{1/2}(a, 2^m) = 2^((m-1)/2) (1 + i^a) or 2^(m/2) omega_8^a, and
+    # G(a, 2^m) = 2 G_{1/2}(a, 2^(m-1)), against the direct sums
+    for m in range(7, 15):
+        d = 1 << m
+        for a in (1, 3, 5, 7, d - 1):
+            assert gauss_sum(a, d) == direct_gauss(a, d), (a, d)
+            for conv in SignConvention:
+                assert half_gauss_sum(a, d, conv) == direct_half(a, d, conv), (a, d, conv)
+
+
+def test_composite_closed_forms_beyond_small_moduli():
+    rng = random.Random(9)
+    for d in (105, 210, 420, 1155):
+        units = [a for a in range(1, 2 * d) if math.gcd(a, d) == 1]
+        for a in [1, 2 * d - 1] + rng.sample(units, 6):
+            assert gauss_sum(a, d) == direct_gauss(a, d), (a, d)
+            for conv in SignConvention:
+                assert half_gauss_sum(a, d, conv) == direct_half(a, d, conv), (a, d, conv)
+
+
 def test_gauss_norm_is_d_for_odd_d():
     for d in range(3, 36, 2):
         for a in range(1, d):
@@ -87,22 +108,6 @@ def test_gauss_norm_is_d_for_odd_d():
                 continue
             g = gauss_sum(a, d)
             assert (g * g.conj()).as_rational() == d
-
-
-def test_crt_product_identity_reverified():
-    # both sides of the even-d splitting computed independently
-    from halfgauss.numtheory import crt_split
-
-    for d in range(2, 61, 2):
-        s = crt_split(d)
-        for a in range(1, 2 * d):
-            if math.gcd(a, d) != 1:
-                continue
-            lhs = direct_half(a, d, SignConvention.PLUS)
-            rhs = direct_half(a * (s.n1 + s.b * s.n2), s.b, SignConvention.PLUS) * direct_half(
-                a * s.n2, s.c, SignConvention.PLUS
-            )
-            assert lhs == rhs
 
 
 def test_minus_convention_matches_odd_unit_rescale():
@@ -131,3 +136,5 @@ def test_q_constant_examples():
 def test_pretty_forms():
     assert pretty(gauss_sum(1, 5)) == "√5"
     assert pretty(half_gauss_sum(1, 2)) == "√2·ζ_8"
+    # the value keeps the conductor of its closed form, where pretty finds it
+    assert pretty(half_gauss_sum(1, 18, SignConvention.MINUS_FOR_EVEN)) == "-3·√2·ζ_8^3"

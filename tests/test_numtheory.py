@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from halfgauss.numtheory import (
-    CrtSplit,
-    crt_split,
     extended_gcd,
     factorize,
     jacobi_symbol,
@@ -76,27 +74,6 @@ def test_extended_gcd_bezout(a, b):
     g, u, v = extended_gcd(a, b)
     assert g == math.gcd(a, b)
     assert u * a + v * b == g
-
-
-def test_crt_split_examples():
-    assert crt_split(12) == CrtSplit(4, 3, -1, 1)
-    assert crt_split(2) == CrtSplit(2, 1, 1, 0)
-    assert crt_split(8) == CrtSplit(8, 1, 1, 0)
-    with pytest.raises(ValueError):
-        crt_split(9)
-    with pytest.raises(ValueError):
-        crt_split(0)
-
-
-def test_crt_split_invariants_sampled():
-    rng = random.Random(1)
-    values = [2 * k for k in range(1, 200)] + [2 * rng.randrange(1, 500_000) for _ in range(300)]
-    for d in values:
-        s = crt_split(d)
-        assert s.b * s.c == d
-        assert math.gcd(s.b, s.c) == 1
-        assert s.b % 2 == 0 and s.c % 2 == 1
-        assert s.n1 * s.c + s.n2 * s.b == 1
 
 
 def test_factorize_examples():
