@@ -10,7 +10,13 @@ equal iff their canonical forms agree after embedding at the lcm of their
 conductors.  For a dimension-d workflow the ambient field Q(zeta_{8d}) is
 large enough to hold every xi_d phase and every sqrt(d) normalization factor.
 
-Values are immutable after construction.  The Phi_N cache is the only shared
+The closed-form path carries a smaller value type: every Gauss block value,
+and every product of them, is 0 or r*sqrt(s)*zeta_n^t, a Surd, which
+multiplies in O(1) integer operations and becomes a CyclotomicNumber only
+through to_cyclotomic(), at the least conductor that holds it.  That
+conversion sums sqrt(p*) over Z_p, so it costs O(p) terms for a prime p | s.
+
+Values are immutable after construction.  The caches are the only shared
 state; insertion is idempotent, so racing computations are harmless.
 """
 
@@ -87,7 +93,11 @@ def _cyclotomic_poly(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _phi_degree(n: int) -> int:
-    return _cyclotomic_poly(n)[0][0]
+    """Euler's totient of n, the degree of Phi_n, without building Phi_n."""
+    out = 1
+    for p, k in factorize(n):
+        out *= (p - 1) * p ** (k - 1)
+    return out
 
 
 def _reduce(coeffs: dict[int, Rational], n: int) -> dict[int, Rational]:
@@ -370,35 +380,89 @@ def xi_pow(d: int, e: int, conv: SignConvention = SignConvention.PLUS) -> Cyclot
     return root_of_unity(2 * d, (d + 1) * e)
 
 
-@lru_cache(maxsize=None)
-def _sqrt_prime(p: int) -> CyclotomicNumber:
-    if p == 2:
-        return CyclotomicNumber(8, {1: 1, 3: -1})
-    # quadratic Gauss sum at conductor p, fixed up by a factor of zeta_4^3
-    # when p = 3 (mod 4); summed directly so this stays independent of the
-    # closed-form evaluator that it underpins.
-    acc: dict[int, int] = {}
-    for x in range(p):
-        e = (x * x) % p
-        acc[e] = acc.get(e, 0) + 1
-    g = CyclotomicNumber(p, acc)
-    if p % 4 == 1:
-        return g
-    return g * root_of_unity(4, 3)
+class Surd:
+    """An exact r*sqrt(s)*zeta_n^t: r rational, s a squarefree positive integer.
+
+    Zero is r = 0, s = n = 1; otherwise t/n is in lowest terms, n != 2 (mod 4)
+    (zeta_2m^t = -zeta_m^((t+m)/2) for odd m, t) and r > 0 when 4 | n
+    (-zeta_n^t = zeta_n^(t+n/2)): two Surds are equal iff (r, s, n, t) agree.
+    """
+
+    __slots__ = ("r", "s", "n", "t")
+
+    def __init__(self, r: Rational, s: int = 1, n: int = 1, t: int = 0):
+        t %= n
+        g = math.gcd(t, n)
+        n //= g
+        t //= g
+        if r == 0:
+            s, n, t = 1, 1, 0
+        elif n % 4 == 2:
+            r, n, t = -r, n // 2, (t + n // 2) // 2 % (n // 2)
+        elif r < 0 and n % 4 == 0:
+            r, t = -r, (t + n // 2) % n
+        self.r, self.s, self.n, self.t = r, s, n, t
+
+    def is_zero(self) -> bool:
+        return self.r == 0
+
+    def scale(self, c: Rational) -> "Surd":
+        return Surd(self.r * c, self.s, self.n, self.t)
+
+    def __mul__(self, other: "Surd") -> "Surd":
+        """gcd(s1, s2) leaves the root; the phase goes to lcm(n1, n2)."""
+        g = math.gcd(self.s, other.s)
+        n1, n2 = self.n, other.n
+        n = n1 * n2 // math.gcd(n1, n2)
+        return Surd(
+            self.r * other.r * g, self.s // g * (other.s // g), n, self.t * (n // n1) + other.t * (n // n2)
+        )
+
+    def to_cyclotomic(self) -> "CyclotomicNumber":
+        return _surd_value(self.r, self.s, self.n, self.t)
+
+
+@lru_cache(maxsize=1 << 10)
+def _sqrt_base(s: int) -> tuple[CyclotomicNumber, int]:
+    """(b, e) with sqrt(s) = b zeta_8^e for squarefree s > 1: b is 1 + i =
+    sqrt(2) zeta_8 if s is even, times sqrt(p*) = sqrt(p) i^[p = 3 mod 4] per
+    odd prime p | s, summed as the Gauss sum of zeta_p^(x^2) over Z_p (the
+    one place a Gauss sum is summed term by term)."""
+    out = None
+    e = 0
+    for p, _ in factorize(s):
+        if p == 2:
+            f = CyclotomicNumber(4, {0: 1, 1: 1})
+            e -= 1
+        else:
+            f = CyclotomicNumber(p, {0: 1, **{x * x % p: 2 for x in range(1, (p + 1) // 2)}})
+            e -= 2 if p % 4 == 3 else 0
+        out = f if out is None else out * f
+    return out, e % 8
+
+
+@lru_cache(maxsize=1 << 12)
+def _surd_value(r: Rational, s: int, n: int, t: int) -> CyclotomicNumber:
+    """r sqrt(s) zeta_n^t at its least conductor: sqrt(s) becomes _sqrt_base(s)
+    and the phase that is left is normalised like a Surd's."""
+    if s == 1:
+        return root_of_unity(n, t).scale(r)
+    base, e = _sqrt_base(s)
+    m = n * 8 // math.gcd(n, 8)
+    x = Surd(r, 1, m, t * (m // n) + e * (m // 8))
+    return (base * root_of_unity(x.n, x.t)).scale(x.r)
 
 
 @lru_cache(maxsize=None)
 def sqrt_int(s: int) -> CyclotomicNumber:
-    """Exact positive square root of a positive integer, built from Gauss sums."""
+    """Exact positive square root of a positive integer, as a converted Surd."""
     if s < 1:
         raise ValueError("sqrt_int needs a positive integer")
-    whole = 1
-    out = one()
+    whole = free = 1
     for p, k in factorize(s):
         whole *= p ** (k // 2)
-        if k % 2:
-            out = out * _sqrt_prime(p)
-    return out.scale(whole)
+        free *= p ** (k % 2)
+    return Surd(whole, free).to_cyclotomic()
 
 
 def inv_sqrt_d_power(d: int, h: int) -> CyclotomicNumber:

@@ -30,16 +30,18 @@ pivot times u is the pivot row r mod M.  Each block is a univariate or
 bivariate sum with a closed form.  These leaves are the only home of the
 closed forms (`gauss_sum` and `half_gauss_sum` are one-variable calls of the
 evaluators): (a/q) G(1, q) at odd q = p^k, and G_{1/2}(m, 2^k) = 2^((k-1)/2)
-(1 + i^m) or 2^(k/2) omega_8^m by the parity of k.
-The whole pipeline is deterministic and costs O(n^3) ring operations per
-prime power plus O(log q) per block, so evaluation is polynomial in n and
-log q with no branching and no brute-force fallback.
+(1 + i^m) or 2^(k/2) omega_8^m by the parity of k.  Every leaf, and every
+product of leaves, phases and CRT parts, is a Surd r sqrt(s) zeta_n^t, so
+the pipeline costs O(n^3) ring operations per prime power plus O(log q) per
+block: polynomial in n and log q, with no brute-force fallback.  The value
+becomes a CyclotomicNumber once per call, which costs O(p) terms when s has
+a prime factor p (an odd-rank block at p).
 
 Every evaluation returns one SumValue: the exact value and the certificate
 steps, an ordered tuple of (rule, params, factor) entries in which each
-multiplicative contribution appears as a leaf factor (factor is None for
-structural steps).  Multiplying the leaf factors back together reproduces
-the value (`leaf_product`); `certificate` returns the result itself.  The
+multiplicative contribution appears as a Surd leaf factor (factor is None
+for structural steps).  Multiplying the leaf factors together and converting
+once reproduces the value (`leaf_product`); `certificate` is the result.  The
 rules: constant_phase and free_variables (leaves), trivial_modulus (leaf
 1) when nothing is left to sum, one crt_prime_power per prime-power part of
 a composite modulus, one congruence_reduction per frame, and one leaf per
@@ -53,15 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    SignConvention,
-    one,
-    root_of_unity,
-    sqrt_int,
-    xi_exponent_modulus,
-    xi_pow,
-)
+from .cyclotomic import CyclotomicNumber, SignConvention, Surd, xi_exponent_modulus
 from .errors import AperiodicPolynomialError
 from .numtheory import factorize, jacobi_symbol, modinv
 from .polynomials import QuadraticForm
@@ -75,8 +69,8 @@ class SumValue:
     """Evaluation result: the exact value and its certificate steps.
 
     Each step is a (rule, params, factor) tuple; factor is None for a
-    structural step and the leaf factor otherwise, and the product of the
-    leaf factors equals the value.
+    structural step and the leaf factor, a Surd, otherwise, and the product
+    of the leaf factors equals the value, a CyclotomicNumber.
     """
 
     __slots__ = ("value", "steps")
@@ -91,11 +85,11 @@ class SumValue:
         return self
 
     def leaf_product(self) -> CyclotomicNumber:
-        out = one()
+        out = _ONE
         for _, _, factor in self.steps:
             if factor is not None:
                 out = out * factor
-        return out
+        return out.to_cyclotomic()
 
     def rule_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -129,81 +123,71 @@ def check_periodicity(d: int, f: QuadraticForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closed-form leaf sums (memoized on integer arguments)
+# closed-form leaf sums (memoized on integer arguments), all Surds
 
-
-@lru_cache(maxsize=1 << 12)
-def _gauss_one(q: int) -> CyclotomicNumber:
-    """G(1, q) for odd q: sqrt(q), times i when q = 3 (mod 4)."""
-    return sqrt_int(q) * root_of_unity(4, 1) if q % 4 == 3 else sqrt_int(q)
+_ONE = Surd(1)
+_ZERO = Surd(0)
 
 
 @lru_cache(maxsize=1 << 16)
-def _uni_odd(p: int, k: int, a: int, d: int) -> CyclotomicNumber:
+def _uni_odd(p: int, k: int, a: int, d: int) -> Surd:
     """Sum over z in Z_{p^k} of omega_{p^k}^(a z^2 + d z), p odd."""
     q = p**k
     a %= q
     d %= q
     if k == 0:
-        return one()
+        return _ONE
     if a == 0:
-        return CyclotomicNumber.from_rational(q if d == 0 else 0)
+        return Surd(q if d == 0 else 0)
     if a % p != 0:
-        # G(a, q) = (a/q) G(1, q); a linear term completes the square with
-        # the shift s = d / 2a, and s = 0 needs no phase (a phase of 1 at
-        # conductor q would only inflate the conductor of the value)
-        g = _gauss_one(q).scale(jacobi_symbol(a, q))
-        if not d:
-            return g
-        s = (modinv((2 * a) % q, q) * d) % q
-        return root_of_unity(q, -a * s * s) * g
+        # G(a, q) = (a/q) G(1, q), G(1, q) = p^(k//2) sqrt(p^(k mod 2)), times
+        # i when q = 3 (mod 4); a linear term completes the square with the
+        # shift s = d / 2a
+        g = Surd(jacobi_symbol(a, q) * p ** (k // 2), p ** (k % 2), 4 if q % 4 == 3 else 1, 1)
+        s = modinv(2 * a % q, q) * d % q if d else 0
+        return Surd(1, 1, q, -a * s * s) * g
     if d % p != 0:
-        return CyclotomicNumber.zero()
+        return _ZERO
     return _uni_odd(p, k - 1, a // p, d // p).scale(p)
 
 
 @lru_cache(maxsize=1 << 16)
-def _uni_half2(k: int, m: int, d: int) -> CyclotomicNumber:
+def _uni_half2(k: int, m: int, d: int) -> Surd:
     """Sum over z in Z_{2^k} of omega_{2^(k+1)}^(m z^2 + 2 d z)."""
     q = 1 << k
     m %= 2 * q
     d %= q
     if k == 0:
-        return one()
+        return _ONE
     if m % 2 == 1:
         # G_{1/2}(m, 2^k) is 1 + i^m at k = 1 and 2 omega_8^m at k = 2, and
         # doubles whenever k grows by 2: 2^((k-1)/2) (1 + i^m) for odd k,
         # 2^(k/2) omega_8^m for even k.  A linear term completes the square
-        # (m is invertible, the shift an integer, the period q).
-        g = (one() + root_of_unity(4, m) if k % 2 else root_of_unity(8, m)).scale(1 << (k // 2))
-        if not d:
-            return g
-        s = (modinv(m, q) * d) % q
-        return root_of_unity(2 * q, -m * s * s) * g
+        # (m is invertible, the shift an integer, the period q).  1 + i^m is
+        # sqrt(2) omega_8^(2 - m mod 4).
+        odd = k % 2
+        g = Surd(1 << (k // 2), 1 + odd, 8, 2 - m % 4 if odd else m)
+        s = modinv(m, q) * d % q if d else 0
+        return Surd(1, 1, 2 * q, -m * s * s) * g
     # m = 2a: the full sum of omega_{2^k}^(a z^2 + d z)
     a = m // 2
     if a == 0:
-        return CyclotomicNumber.from_rational(q if d == 0 else 0)
+        return Surd(q if d == 0 else 0)
     if k == 1:
-        return one() + CyclotomicNumber.from_rational((-1) ** (a + d))
+        return Surd(1 + (-1) ** (a + d))
     if d % 2 == 1:
-        return CyclotomicNumber.zero()
+        return _ZERO
     # k >= 2 and d even: period 2^(k-1) in z, as in G(a, 2^k) = 2 G_{1/2}(a, 2^(k-1))
     return _uni_half2(k - 1, a, d // 2).scale(2)
 
 
-def _direct_two(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNumber:
-    q = 1 << k
-    acc: dict[int, int] = {}
-    for z in range(q):
-        for w in range(q):
-            t = (a * z * z + b * z * w + c * w * w + d * z + e * w) % q
-            acc[t] = acc.get(t, 0) + 1
-    return CyclotomicNumber(q, acc)
+def _direct_two(a: int, b: int, c: int, d: int, e: int) -> Surd:
+    """Sum over z,w in Z_2 of (-1)^(a z^2 + b zw + c w^2 + d z + e w)."""
+    return Surd(sum((-1) ** (a * z + b * z * w + c * w + d * z + e * w) for z in (0, 1) for w in (0, 1)))
 
 
 @lru_cache(maxsize=1 << 14)
-def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNumber:
+def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> Surd:
     """Sum over z,w in Z_{2^k} of omega_{2^k}^(a z^2 + b zw + c w^2 + d z + e w)."""
     q = 1 << k
     a %= q
@@ -212,9 +196,9 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
     d %= q
     e %= q
     if k == 0:
-        return one()
+        return _ONE
     if k == 1:
-        return _direct_two(k, a, b, c, d, e)
+        return _direct_two(a, b, c, d, e)
     if b % 2 == 1:
         if a % 2 == 0 and c % 2 == 1:
             a, c, d, e = c, a, e, d
@@ -229,19 +213,19 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> CyclotomicNum
             du = (4 * c * delta + 2 * e - 2 * ainv * b * g0) % (2 * q)
             gu = (c * delta * delta + e * delta - ainv * g0 * g0) % q
             tail = _uni_half2(k - 1, au, (du // 2) % (q // 2))
-            return (_uni_half2(k, 2 * a, 0) * root_of_unity(q, gu)) * tail
+            return (_uni_half2(k, 2 * a, 0) * Surd(1, 1, q, gu)) * tail
         # both diagonals even: restrict w-parity, descend the z-modulus
         delta = d & 1
         g0 = (b * delta + d) // 2
         qq = q // 2
-        phase = root_of_unity(q, c * delta * delta + e * delta)
+        phase = Surd(1, 1, q, c * delta * delta + e * delta)
         sub = _two_power2(k - 1, (a // 2) % qq, b % qq, (2 * c) % qq, g0 % qq, (2 * c * delta + e) % qq)
         return phase * sub.scale(2)
     # b even: every block from _reduce_symmetric has v(b) <= v(a), v(c), so
     # a and c are even too, and halving all three keeps that order
     assert a % 2 == 0 and c % 2 == 0, "two-variable block with v(b) > v(a) or v(c)"
     if d % 2 == 1 or e % 2 == 1:
-        return CyclotomicNumber.zero()
+        return _ZERO
     return _two_power2(k - 1, a // 2, b // 2, c // 2, d // 2, e // 2).scale(4)
 
 
@@ -372,7 +356,7 @@ def _frame_eval(
     b_vec: np.ndarray,
     mod: int,
     steps: list,
-) -> CyclotomicNumber:
+) -> Surd:
     """Evaluate the frame sum after congruence reduction."""
     q = p**k
     shears, blocks = _reduce_cached(p, q, mod, m_mat)
@@ -382,7 +366,7 @@ def _frame_eval(
         if bt:
             b2 = (b2 - bt * u) % q
     steps.append(("congruence_reduction", (p, k, len(blocks)), None))
-    out = one()
+    out = _ONE
     for blk in blocks:
         if blk[0] == "uni":
             _, i, mii = blk
@@ -398,7 +382,7 @@ def _frame_eval(
             leaf = _two_power2(k, mii // 2, mij, mjj // 2, int(b2[i]), int(b2[j]))
             steps.append(("block_two_2adic", (mii, mij, mjj), leaf))
         if leaf.is_zero():
-            return CyclotomicNumber.zero()
+            return _ZERO
         out = out * leaf
     return out
 
@@ -433,7 +417,7 @@ def _build_frame(p: int, q: int, alpha: tuple, beta: tuple, nvars: int, w: int):
 # the core (gamma stripped, variables compressed)
 
 
-def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> CyclotomicNumber:
+def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> Surd:
     """Z_{1/2}(q, f) = sum over Z_q^n of omega_M^(u f(x)), M = xi_exponent_modulus(q).
 
     xi_q = omega_M^u with u = 1 for even q and (q+1)/2 for odd q.  With M_i
@@ -442,12 +426,12 @@ def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> Cycloto
     into one frame per prime power, the 2-adic part first.
     """
     if q == 1 or nvars == 0:
-        steps.append(("trivial_modulus", (q, nvars), one()))
-        return one()
+        steps.append(("trivial_modulus", (q, nvars), _ONE))
+        return _ONE
     mod = xi_exponent_modulus(q)
     u = 1 if q % 2 == 0 else (q + 1) // 2
     parts = factorize(q)
-    out = None
+    out = _ONE
     for p, k in parts:
         qi = p**k
         mi = xi_exponent_modulus(qi)
@@ -455,9 +439,7 @@ def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> Cycloto
             steps.append(("crt_prime_power", (qi,), None))
         w = (u * modinv((mod // mi) % mi, mi)) % mi
         m, b = _build_frame(p, qi, alpha, beta, nvars, w)
-        part = _frame_eval(p, k, m, b, mi, steps)
-        # no multiply by one: it costs a field embedding on every prime power
-        out = part if out is None else out * part
+        out = out * _frame_eval(p, k, m, b, mi, steps)
         if out.is_zero():
             return out
     return out
@@ -507,27 +489,34 @@ def _prepare(f: QuadraticForm, mod: int):
         beta.append((i, c))
         used.add(i)
     nused = len(used)
+    if nused == max(used, default=0):  # used is 1..nused: nothing to renumber
+        return tuple(sorted(alpha)), tuple(sorted(beta)), nused, f.n - nused
     remap = {v: t + 1 for t, v in enumerate(sorted(used))}
     alpha_key = tuple(sorted(((remap[i], remap[j]), c) for (i, j), c in alpha))
     beta_key = tuple(sorted((remap[i], c) for i, c in beta))
     return alpha_key, beta_key, nused, f.n - nused
 
 
-def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, phase) -> SumValue:
-    """Z_{1/2}(q, f) from the core, times phase(q, gamma) (computed only when
-    gamma != 0) and q per variable that f does not use; mod is the exponent
-    modulus xi_exponent_modulus(q)."""
+_phase = lru_cache(maxsize=1 << 14)(Surd)  # constant phases, reused across calls
+
+
+def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) -> SumValue:
+    """Z_{1/2}(q, f) from the core, times the phase omega_n^(u gamma) when
+    gamma != 0 and q per variable that f does not use; mod is the exponent
+    modulus xi_exponent_modulus(q).  The value becomes a CyclotomicNumber
+    here, once."""
     alpha, beta, nused, nfree = _prepare(f, mod)
     value, steps = _core_cached(q, alpha, beta, nused)
     head: tuple = ()
     if gamma:
-        factor = phase(q, gamma)
+        factor = _phase(1, 1, n, u * gamma % n)
         head += (("constant_phase", (gamma,), factor),)
         value = factor * value
     if nfree:
-        head += (("free_variables", (nfree,), CyclotomicNumber.from_rational(q**nfree)),)
-        value = value.scale(q**nfree)
-    return SumValue(value, head + steps if head else steps)
+        factor = Surd(q**nfree)
+        head += (("free_variables", (nfree,), factor),)
+        value = factor * value
+    return SumValue(value.to_cyclotomic(), head + steps if head else steps)
 
 
 def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
@@ -535,7 +524,7 @@ def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
     if d < 1:
         raise ValueError("d must be positive")
     mod = xi_exponent_modulus(d)
-    return _evaluate(d, f, mod, f.gamma0 % mod, xi_pow)
+    return _evaluate(d, f, mod, f.gamma0 % mod, mod, 1 if d % 2 == 0 else (d + 1) // 2)
 
 
 def eval_gauss_quadratic(q: int, g: QuadraticForm) -> SumValue:
@@ -546,7 +535,7 @@ def eval_gauss_quadratic(q: int, g: QuadraticForm) -> SumValue:
     """
     if q < 1:
         raise ValueError("q must be positive")
-    return _evaluate(q, g.scale(2), xi_exponent_modulus(q), g.gamma0 % q, root_of_unity)
+    return _evaluate(q, g.scale(2), xi_exponent_modulus(q), g.gamma0 % q, q, 1)
 
 
 def eval_half_gauss_with_convention(

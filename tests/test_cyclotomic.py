@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,9 @@ import pytest
 from halfgauss.cyclotomic import (
     CyclotomicNumber,
     SignConvention,
+    Surd,
+    _cyclotomic_poly,
+    _phi_degree,
     from_omega_counts,
     from_xi_counts,
     one,
@@ -17,6 +21,7 @@ from halfgauss.cyclotomic import (
     xi_exponent_modulus,
     xi_pow,
 )
+from halfgauss.numtheory import factorize
 
 
 def test_root_of_unity_examples():
@@ -150,3 +155,67 @@ def test_zero_representation():
     z = CyclotomicNumber.zero()
     assert z.is_zero() and z.coeffs == {}
     assert (one() - one()).is_zero()
+
+
+def test_phi_degree_is_the_degree_of_phi():
+    for n in range(1, 2001):
+        assert _phi_degree(n) == _cyclotomic_poly(n)[0][0], n
+
+
+def _fields(x: Surd) -> tuple:
+    return (x.r, x.s, x.n, x.t)
+
+
+def test_surd_normalisation():
+    assert _fields(Surd(3, 5, 12, 8)) == (3, 5, 3, 2)  # t/n in lowest terms
+    assert _fields(Surd(2, 1, 6, 1)) == (-2, 1, 3, 2)  # zeta_6 = -zeta_3^2
+    assert _fields(Surd(1, 1, 2, 1)) == (-1, 1, 1, 0)  # zeta_2 = -1
+    assert _fields(Surd(-1, 3, 8, 1)) == (1, 3, 8, 5)  # -zeta_8 = zeta_8^5
+    assert _fields(Surd(Fraction(-1, 2), 7, 9, 2)) == (Fraction(-1, 2), 7, 9, 2)
+    assert _fields(Surd(-4, 2, 1, 5)) == (-4, 2, 1, 0)
+    for zero in (Surd(0), Surd(0, 6, 8, 3), Surd(5, 3, 4, 1).scale(0)):
+        assert zero.is_zero() and _fields(zero) == (0, 1, 1, 0)
+        assert zero.to_cyclotomic().is_zero()
+    assert not Surd(-1).is_zero()
+
+
+def test_surd_products():
+    assert _fields(Surd(1, 6) * Surd(1, 10)) == (2, 15, 1, 0)  # sqrt6 sqrt10 = 2 sqrt15
+    assert _fields(Surd(1, 3, 4, 1) * Surd(1, 3, 4, 1)) == (-3, 1, 1, 0)  # (i sqrt3)^2
+    assert _fields(Surd(2, 2, 8, 1) * Surd(Fraction(1, 4), 3, 3, 1)) == (Fraction(1, 2), 6, 24, 11)
+    assert (Surd(1, 6) * Surd(1, 10)).to_cyclotomic() == sqrt_int(6) * sqrt_int(10)
+    assert (Surd(3, 5) * Surd(0, 5)).is_zero()
+
+
+def _summed_sqrt(s: int) -> CyclotomicNumber:
+    """sqrt(s) for squarefree s, built without Surd: per odd prime p the Gauss
+    sum over Z_p, times zeta_4^3 when p = 3 (mod 4), and zeta_8 - zeta_8^3
+    for p = 2."""
+    out = one()
+    for p, _ in factorize(s):
+        if p == 2:
+            out = out * CyclotomicNumber(8, {1: 1, 3: -1})
+            continue
+        counts = [0] * p
+        for x in range(p):
+            counts[x * x % p] += 1
+        g = from_omega_counts(p, counts)
+        out = out * (g * root_of_unity(4, 3) if p % 4 == 3 else g)
+    return out
+
+
+def test_surd_to_cyclotomic_against_gauss_sum_roots():
+    # every squarefree s <= 210 and n <= 48 whose field Q(zeta_lcm(4s, n)) has
+    # conductor at most 840; past that each reference product takes seconds
+    squarefree = [s for s in range(1, 211) if all(k == 1 for _, k in factorize(s))]
+    for s in squarefree:
+        root = _summed_sqrt(s)
+        for n in range(1, 49):
+            if math.lcm(4 * s, n) > 840:
+                continue
+            r = 1 if (s + n) % 2 else Fraction(-3, 2)
+            for t in {1, n // 2 + 1, n - 1}:
+                want = (root * root_of_unity(n, t)).scale(r)
+                got = Surd(r, s, n, t).to_cyclotomic()
+                assert got == want, (r, s, n, t)
+                assert got.conductor <= want.conductor, (r, s, n, t)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from halfgauss.cyclotomic import (
     CyclotomicNumber,
     SignConvention,
+    Surd,
     one,
     root_of_unity,
     xi_exponent_modulus,
@@ -192,6 +193,18 @@ def test_certificate_replay_always():
         g = QF(2, {(1, 1): rng.randrange(q), (1, 2): rng.randrange(q)}, {2: rng.randrange(q)}, 1)
         sv2 = eval_gauss_quadratic(q, g)
         assert sv2.certificate.leaf_product() == sv2.value
+
+
+def test_certificate_factors_are_surds():
+    rng = random.Random(13)
+    for _ in range(150):
+        d = rng.choice([1, 2, 3, 4, 6, 8, 9, 12, 15, 16, 45, 720, 2**20])
+        f = random_periodic_form(d, rng.randrange(0, 5), rng)
+        for sv in (eval_half_gauss(d, f), eval_gauss_quadratic(d, f)):
+            factors = [factor for _, _, factor in sv.steps if factor is not None]
+            assert factors and all(isinstance(x, Surd) for x in factors)
+            assert isinstance(sv.value, CyclotomicNumber)
+            assert sv.leaf_product() == sv.value
 
 
 def test_certificate_never_brute_forces():

@@ -12,7 +12,10 @@ from halfgauss.cyclotomic import (
     root_of_unity,
     sqrt_int,
 )
+from halfgauss.expsum import eval_gauss_quadratic
 from halfgauss.gauss import gauss_sum, half_gauss_sum, q_constant
+from halfgauss.numtheory import jacobi_symbol
+from halfgauss.polynomials import QuadraticForm
 
 I = root_of_unity(4, 1)
 
@@ -138,3 +141,15 @@ def test_pretty_forms():
     assert pretty(half_gauss_sum(1, 2)) == "√2·ζ_8"
     # the value keeps the conductor of its closed form, where pretty finds it
     assert pretty(half_gauss_sum(1, 18, SignConvention.MINUS_FOR_EVEN)) == "-3·√2·ζ_8^3"
+
+
+def test_large_prime_gauss_sum_matches_square_counts():
+    p = 10007
+    assert gauss_sum(1, p) == direct_gauss(1, p)
+
+
+def test_large_prime_two_variable_sum():
+    # G(1, p) G(3, p) = (3/p) G(1, p)^2 = (3/p) (-1/p) p
+    p = 10007
+    sv = eval_gauss_quadratic(p, QuadraticForm(2, {(1, 1): 1, (2, 2): 3}))
+    assert sv.value == jacobi_symbol(-3, p) * p
