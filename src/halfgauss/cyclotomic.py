@@ -406,6 +406,17 @@ class Surd:
     def is_zero(self) -> bool:
         return self.r == 0
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return (self.r, self.s, self.n, self.t) == (other.r, other.s, other.n, other.t)
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.s, self.n, self.t))
+
+    def __repr__(self) -> str:
+        return f"Surd({self.r}, {self.s}, {self.n}, {self.t})"
+
     def scale(self, c: Rational) -> "Surd":
         return Surd(self.r * c, self.s, self.n, self.t)
 
@@ -414,9 +425,8 @@ class Surd:
         g = math.gcd(self.s, other.s)
         n1, n2 = self.n, other.n
         n = n1 * n2 // math.gcd(n1, n2)
-        return Surd(
-            self.r * other.r * g, self.s // g * (other.s // g), n, self.t * (n // n1) + other.t * (n // n2)
-        )
+        t = self.t * (n // n1) + other.t * (n // n2)
+        return Surd(self.r * other.r * g, self.s // g * (other.s // g), n, t)
 
     def to_cyclotomic(self) -> "CyclotomicNumber":
         return _surd_value(self.r, self.s, self.n, self.t)
@@ -453,7 +463,6 @@ def _surd_value(r: Rational, s: int, n: int, t: int) -> CyclotomicNumber:
     return (base * root_of_unity(x.n, x.t)).scale(x.r)
 
 
-@lru_cache(maxsize=None)
 def sqrt_int(s: int) -> CyclotomicNumber:
     """Exact positive square root of a positive integer, as a converted Surd."""
     if s < 1:
@@ -520,33 +529,36 @@ def pretty(x: CyclotomicNumber) -> str | None:
     if r is not None:
         return str(r)
     n = x.conductor
-    for s in _squarefree_divisors(2 * n):
-        root = sqrt_int(s)
-        u = x * root.conj() if s > 1 else x
-        c = u.coeffs
-        if len(c) != 1:
-            continue
-        (t, a), = c.items()
-        a = Fraction(a, s)
-        nn = u.conductor
-        if t:
-            g = math.gcd(t, nn)
-            t //= g
-            nn //= g
-        parts = []
-        if a == -1:
-            parts.append("-")
-        elif a != 1:
-            parts.append(f"{a}·")
-        if s > 1:
-            parts.append(f"√{s}")
-        if t != 0:
+    # at odd n, -zeta_n^t can take several terms, and one at 2n
+    for m in (n, 2 * n) if n % 2 else (n,):
+        y = x.embed(m)
+        for s in _squarefree_divisors(2 * n):
+            root = sqrt_int(s)
+            u = y * root.conj() if s > 1 else y
+            c = u.coeffs
+            if len(c) != 1:
+                continue
+            (t, a), = c.items()
+            a = Fraction(a, s)
+            nn = u.conductor
+            if t:
+                g = math.gcd(t, nn)
+                t //= g
+                nn //= g
+            parts = []
+            if a == -1:
+                parts.append("-")
+            elif a != 1:
+                parts.append(f"{a}·")
             if s > 1:
-                parts.append("·")
-            parts.append(f"ζ_{nn}^{t}" if t != 1 else f"ζ_{nn}")
-        if not parts or parts == ["-"]:
-            parts.append("1")
-        return "".join(parts)
+                parts.append(f"√{s}")
+            if t != 0:
+                if s > 1:
+                    parts.append("·")
+                parts.append(f"ζ_{nn}^{t}" if t != 1 else f"ζ_{nn}")
+            if not parts or parts == ["-"]:
+                parts.append("1")
+            return "".join(parts)
     return None
 
 

@@ -489,15 +489,10 @@ def _prepare(f: QuadraticForm, mod: int):
         beta.append((i, c))
         used.add(i)
     nused = len(used)
-    if nused == max(used, default=0):  # used is 1..nused: nothing to renumber
-        return tuple(sorted(alpha)), tuple(sorted(beta)), nused, f.n - nused
     remap = {v: t + 1 for t, v in enumerate(sorted(used))}
     alpha_key = tuple(sorted(((remap[i], remap[j]), c) for (i, j), c in alpha))
     beta_key = tuple(sorted((remap[i], c) for i, c in beta))
     return alpha_key, beta_key, nused, f.n - nused
-
-
-_phase = lru_cache(maxsize=1 << 14)(Surd)  # constant phases, reused across calls
 
 
 def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) -> SumValue:
@@ -509,7 +504,7 @@ def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) ->
     value, steps = _core_cached(q, alpha, beta, nused)
     head: tuple = ()
     if gamma:
-        factor = _phase(1, 1, n, u * gamma % n)
+        factor = Surd(1, 1, n, u * gamma % n)
         head += (("constant_phase", (gamma,), factor),)
         value = factor * value
     if nfree:

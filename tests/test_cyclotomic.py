@@ -122,6 +122,15 @@ def test_extract_examples():
     assert abs(z - complex(1, 1)) < 1e-12
 
 
+def test_pretty_looks_at_twice_an_odd_conductor():
+    # -zeta_n^t at odd n can take several terms at n and one term at 2n
+    assert pretty(CyclotomicNumber(3, {2: -6})) == "6·ζ_6"
+    assert pretty(CyclotomicNumber(5, {4: 1000})) == "-1000·ζ_10^3"
+    # a value that is one term at n still renders at n
+    assert pretty(CyclotomicNumber(5, {1: -1})) == "-ζ_5"
+    assert pretty(CyclotomicNumber(15, {7: 2})) == "2·ζ_15^7"
+
+
 def test_approx_accuracy():
     rng = random.Random(5)
     for _ in range(40):
@@ -177,6 +186,21 @@ def test_surd_normalisation():
         assert zero.is_zero() and _fields(zero) == (0, 1, 1, 0)
         assert zero.to_cyclotomic().is_zero()
     assert not Surd(-1).is_zero()
+
+
+def test_surd_equality_is_by_value():
+    # normalised fields make == and hash agree on equal values
+    assert Surd(3, 5, 12, 8) == Surd(3, 5, 3, 2) == Surd(Fraction(6, 2), 5, 3, 2)
+    assert Surd(2, 1, 6, 1) == Surd(-2, 1, 3, 2)
+    assert Surd(-1, 3, 8, 1) == Surd(1, 3, 8, 5)
+    assert Surd(0, 6, 8, 3) == Surd(0)
+    assert hash(Surd(3, 5, 12, 8)) == hash(Surd(3, 5, 3, 2))
+    assert hash(Surd(2, 1, 6, 1)) == hash(Surd(-2, 1, 3, 2))
+    assert len({Surd(1, 2, 8, 1), Surd(1, 2, 16, 2), Surd(1, 2, 8, 3)}) == 2
+    assert Surd(1, 2) != Surd(1, 3)
+    assert Surd(1, 1, 4, 1) != Surd(1, 1, 4, 3)
+    assert Surd(1) != 1  # no cross-type equality; compare to_cyclotomic() values
+    assert repr(Surd(Fraction(-1, 2), 7, 18, 4)) == "Surd(-1/2, 7, 9, 2)"
 
 
 def test_surd_products():

@@ -14,6 +14,7 @@ from halfgauss.cyclotomic import (
     root_of_unity,
     xi_exponent_modulus,
 )
+from halfgauss import expsum
 from halfgauss.errors import AperiodicPolynomialError
 from halfgauss.expsum import (
     check_periodicity,
@@ -205,6 +206,26 @@ def test_certificate_factors_are_surds():
             assert factors and all(isinstance(x, Surd) for x in factors)
             assert isinstance(sv.value, CyclotomicNumber)
             assert sv.leaf_product() == sv.value
+
+
+def test_certificate_steps_compare_by_value():
+    # two evaluations of one form build fresh leaf factors (the constant
+    # phase and the free-variable factor always, every leaf once the caches
+    # are cleared), and their steps still compare and hash equal
+    rng = random.Random(14)
+    for _ in range(60):
+        d = rng.choice([2, 3, 4, 6, 8, 9, 12, 15, 45, 720, 2**20])
+        f = random_periodic_form(d, rng.randrange(1, 5), rng)
+        f = QuadraticForm(f.n + 2, f.alpha, f.beta, f.gamma0 or 1)
+        for evaluate in (eval_half_gauss, eval_gauss_quadratic):
+            first = evaluate(d, f)
+            expsum._core_cached.cache_clear()
+            for leaf in (expsum._uni_odd, expsum._uni_half2, expsum._two_power2):
+                leaf.cache_clear()
+            second = evaluate(d, f)
+            assert second.steps == first.steps
+            assert hash(second.steps) == hash(first.steps)
+            assert "free_variables" in second.rule_counts()
 
 
 def test_certificate_never_brute_forces():
