@@ -67,10 +67,6 @@ def _conv(name: str) -> SignConvention:
     return SignConvention.MINUS_FOR_EVEN if name == "minus" else SignConvention.PLUS
 
 
-def _value_json(v, approx_only: bool) -> dict:
-    return to_json_dict(v, approx_only=approx_only)
-
-
 def _cert_json(cert) -> dict:
     return {"rules": cert.rule_counts(), "steps": len(cert.steps)}
 
@@ -91,7 +87,7 @@ def _cmd_eval_sum(args) -> dict:
             "phase": phase,
             "poly": format_polynomial(poly),
             "path": "brute-force",
-            "value": _value_json(value, args.approx_only),
+            "value": to_json_dict(value, approx_only=args.approx_only),
         }
     quad = poly.as_quadratic()
     if args.mode == "half":
@@ -107,7 +103,7 @@ def _cmd_eval_sum(args) -> dict:
             "convention": args.convention,
             "poly": format_polynomial(poly),
             "path": "closed-form",
-            "value": _value_json(sv.value, args.approx_only),
+            "value": to_json_dict(sv.value, approx_only=args.approx_only),
             "certificate": _cert_json(sv.certificate),
         }
     sv = eval_gauss_quadratic(d, quad)
@@ -116,7 +112,7 @@ def _cmd_eval_sum(args) -> dict:
         "d": d,
         "poly": format_polynomial(poly),
         "path": "closed-form",
-        "value": _value_json(sv.value, args.approx_only),
+        "value": to_json_dict(sv.value, approx_only=args.approx_only),
         "certificate": _cert_json(sv.certificate),
     }
 
@@ -131,7 +127,7 @@ def _cmd_eval_gauss(args) -> dict:
         "d": args.d,
         "half": bool(args.half),
         "convention": args.convention,
-        "value": _value_json(value, args.approx_only),
+        "value": to_json_dict(value, approx_only=args.approx_only),
     }
 
 
@@ -149,12 +145,12 @@ def _cmd_simulate(args) -> dict:
     out: dict = {"d": circ.d, "qudits": circ.m, "h": nc.h, "segments": nc.n}
     if args.statevector:
         sv = statevector(circ, a, budget=args.budget)
-        out["statevector"] = [_value_json(v, args.approx_only) for v in sv]
+        out["statevector"] = [to_json_dict(v, approx_only=args.approx_only) for v in sv]
     elif args.out is not None:
         b = _digits(args.out, circ.m, circ.d)
         amp = amplitude(nc, a, b)
         p = (amp * amp.conj()).as_rational()
-        out["amplitude"] = _value_json(amp, args.approx_only)
+        out["amplitude"] = to_json_dict(amp, approx_only=args.approx_only)
         out["probability"] = str(p)
     elif args.sample is not None:
         k = args.measure if args.measure else circ.m
@@ -202,7 +198,7 @@ def _cmd_holant(args) -> dict:
         "edges": len(grid.edges),
         "vertices": len(grid.vertices),
         "method": method,
-        "value": _value_json(value, args.approx_only),
+        "value": to_json_dict(value, approx_only=args.approx_only),
     }
 
 
@@ -280,7 +276,7 @@ def _cmd_bench(args) -> dict:
         "certificate": _cert_json(sv.certificate),
         "brute_force_fallbacks": 1 if sv.certificate.uses_brute_force() else 0,
         "brute_force_terms": f"{args.d}^{args.n} (~10^{brute_digits - 1}; not attempted)",
-        "value": {"approx": _value_json(sv.value, True)["approx"],
+        "value": {"approx": to_json_dict(sv.value, approx_only=True)["approx"],
                   "coefficients": len(sv.value.coeffs),
                   "conductor": sv.value.conductor},
     }

@@ -106,7 +106,6 @@ class NormalizedCircuit:
     h: int
     n: int
     _phase: tuple | None = field(default=None, repr=False, compare=False)
-    _measure: "NormalizedCircuit | None" = field(default=None, repr=False, compare=False)
 
     def full_circuit(self) -> Circuit:
         front = tuple(Gate("F", (r,)) for r in range(self.m))
@@ -289,23 +288,6 @@ def amplitude(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int, ...]) -> 
     return eval_half_gauss(d, f).value * inv_sqrt_d_power(d, nc.h)
 
 
-def _measure_ready(nc: NormalizedCircuit) -> NormalizedCircuit:
-    """Pad registers lacking an internal F with F^4 (identity) for measurement."""
-    if nc._measure is not None:
-        return nc._measure
-    _, lab = phase_polynomial(nc)
-    missing = [r for r in range(nc.m) if len(lab.per_register[r]) < 2]
-    if not missing:
-        nc._measure = nc
-        return nc
-    extra = tuple(Gate("F", (r,)) for r in missing for _ in range(4))
-    padded = NormalizedCircuit(
-        nc.d, nc.m, nc.internal + extra, nc.h + 4 * len(missing), nc.n + 4 * len(missing)
-    )
-    nc._measure = padded
-    return padded
-
-
 def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
     """Exact P(b|a) for measuring the first k = len(b) registers of C|a>.
 
@@ -320,10 +302,9 @@ def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int
         raise ValueError("need 1 <= len(b) <= m")
     if len(a) != nc.m:
         raise ValueError("input length must equal the register count")
-    mc = _measure_ready(nc)
-    s, lab = phase_polynomial(mc)
+    s, lab = phase_polynomial(nc)
     n = s.n
-    shared = {lab.terminal[r] for r in range(k, mc.m)}
+    shared = {lab.terminal[r] for r in range(k, nc.m)}
     ymap: dict[int, int] = {}
     nxt = n + 1
     for i in range(1, n + 1):
@@ -349,7 +330,7 @@ def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int
         beta[i] = beta.get(i, 0) + c
         yi = ymap[i]
         beta[yi] = beta.get(yi, 0) - c
-    for r in range(mc.m):
+    for r in range(nc.m):
         i = lab.inceptive[r]
         c = 2 * (a[r] % d)
         beta[i] = beta.get(i, 0) + c
@@ -372,20 +353,14 @@ def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int
     return p
 
 
-def sample(
-    nc: NormalizedCircuit,
-    a: tuple[int, ...],
-    k: int,
-    seed: int,
-    _cache: dict | None = None,
-) -> tuple[int, ...]:
+def sample(nc: NormalizedCircuit, a: tuple[int, ...], k: int, seed: int) -> tuple[int, ...]:
     """One Born-rule sample of the first k registers, deterministic in seed.
 
     Outcomes are drawn digit by digit from exact conditional probabilities,
     compared against a rational uniform draw with 64 fractional bits.
     """
     rng = random.Random(seed)
-    return _sample_with_rng(nc, a, k, rng, _cache if _cache is not None else {})
+    return _sample_with_rng(nc, a, k, rng, {})
 
 
 def _sample_with_rng(nc, a, k, rng, cache) -> tuple[int, ...]:

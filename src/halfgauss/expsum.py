@@ -37,6 +37,23 @@ block: polynomial in n and log q, with no brute-force fallback.  The value
 becomes a CyclotomicNumber once per call, which costs O(p) terms when s has
 a prime factor p (an odd-rank block at p).
 
+Input: `_prepare` makes one pass over the form (reduce mod M, check
+periodicity, drop unused variables) and returns its canonical key (nused,
+rows, cols, vals, brows, bvals): the used variables renumbered 0..nused-1
+in order, the quadratic entries as three flat tuples sorted by (row, col),
+the linear ones as two.  Forms that differ only in the numbering or the
+number of unused variables, in dict order, or in coefficients congruent mod
+M share one key.  Every CRT frame derives from it: the matrix is the key's
+entries times the CRT unit w at the frame modulus, built with whole-array
+operations, and the linear vector is scaled the same way.  Arrays are int64
+while the modulus is at most 2^25, so that every product of two residues
+stays below 2^50, and exact object arrays above it.  Two lru_caches are
+keyed by the key: `_core` (65,536 entries) maps it to the value and steps,
+and serves forms repeated with only a new constant, as in the exhaustive
+sweeps; `_reduction` (64 entries) maps one frame's quadratic part to its
+shears and blocks, and serves one quadratic part with many linear parts, as
+in the amplitudes and marginals of one Clifford circuit.
+
 Every evaluation returns one SumValue: the exact value and the certificate
 steps, an ordered tuple of (rule, params, factor) entries in which each
 multiplicative contribution appears as a Surd leaf factor (factor is None
@@ -334,43 +351,56 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     return shears, blocks
 
 
-_REDUCE_CACHE: dict[tuple, tuple] = {}
-_REDUCE_CACHE_MAX = 64
+def _dtype(mod: int):
+    """int64 for a modulus of at most 2^25, where every product of two
+    residues stays below 2^50; exact Python integers above it."""
+    return np.int64 if mod <= (1 << 25) else object
 
 
-def _reduce_cached(p: int, q: int, mod: int, m_mat: np.ndarray):
-    key = (p, q, m_mat.shape[0], m_mat.tobytes() if m_mat.dtype != object else tuple(m_mat.ravel()))
-    hit = _REDUCE_CACHE.get(key)
-    if hit is None:
-        hit = _reduce_symmetric(p, q, m_mat, mod)
-        if len(_REDUCE_CACHE) >= _REDUCE_CACHE_MAX:
-            _REDUCE_CACHE.pop(next(iter(_REDUCE_CACHE)))
-        _REDUCE_CACHE[key] = hit
-    return hit
+def _frame(q: int, p: int, k: int, w: int, nused: int, rows: tuple, cols: tuple, vals: tuple) -> np.ndarray:
+    """The symmetric matrix of the frame at p^k of the canonical key, for the
+    sum over Z_{p^k}^n of omega_mod^(w f(x)), mod = xi_exponent_modulus(p^k).
+
+    A holds the coefficients of w f on and above the diagonal at `mod`, and
+    the frame is (A + A^T)/2: the diagonal is c w mod `mod`, and a cross
+    coefficient c w is even at p = 2 and halved exactly, and at odd p it is
+    halved through the inverse (p^k + 1)/2 of 2, folded into w.  q is the
+    modulus of the whole call, whose exponent modulus bounds c.
+    """
+    qi = p**k
+    mod = xi_exponent_modulus(qi)
+    if p != 2:
+        w = w * (qi + 1) // 2 % qi
+    a = np.zeros((nused, nused), dtype=_dtype(mod))
+    r, s = np.array((rows, cols), dtype=np.intp)
+    a[r, s] = np.array(vals, dtype=_dtype(xi_exponent_modulus(q))) * w % mod
+    a = a + a.T
+    return a // 2 if p == 2 else a % qi
 
 
-def _frame_eval(
-    p: int,
-    k: int,
-    m_mat: np.ndarray,
-    b_vec: np.ndarray,
-    mod: int,
-    steps: list,
-) -> Surd:
-    """Evaluate the frame sum after congruence reduction."""
+@lru_cache(maxsize=64)
+def _reduction(q: int, p: int, k: int, w: int, nused: int, rows: tuple, cols: tuple, vals: tuple):
+    """Shears and blocks of one frame: one quadratic part serves every
+    linear part, as in the amplitudes and marginals of one circuit."""
+    qi = p**k
+    return _reduce_symmetric(p, qi, _frame(q, p, k, w, nused, rows, cols, vals), xi_exponent_modulus(qi))
+
+
+def _frame_eval(p: int, k: int, reduction: tuple, b: np.ndarray, steps: list) -> Surd:
+    """Evaluate the frame sum from its congruence reduction and linear part
+    b (at Z_{p^k})."""
     q = p**k
-    shears, blocks = _reduce_cached(p, q, mod, m_mat)
-    b2 = b_vec % q
+    shears, blocks = reduction
     for t, u in shears:
-        bt = b2[t]
+        bt = b[t]
         if bt:
-            b2 = (b2 - bt * u) % q
+            b = (b - bt * u) % q
     steps.append(("congruence_reduction", (p, k, len(blocks)), None))
     out = _ONE
     for blk in blocks:
         if blk[0] == "uni":
             _, i, mii = blk
-            d = int(b2[i])
+            d = int(b[i])
             if p == 2:
                 leaf = _uni_half2(k, mii, d)
                 steps.append(("block_uni_2adic", (mii, d), leaf))
@@ -379,7 +409,7 @@ def _frame_eval(
                 steps.append(("block_uni_odd", (mii, d), leaf))
         else:
             _, i, j, mii, mij, mjj = blk
-            leaf = _two_power2(k, mii // 2, mij, mjj // 2, int(b2[i]), int(b2[j]))
+            leaf = _two_power2(k, mii // 2, mij, mjj // 2, int(b[i]), int(b[j]))
             steps.append(("block_two_2adic", (mii, mij, mjj), leaf))
         if leaf.is_zero():
             return _ZERO
@@ -387,50 +417,26 @@ def _frame_eval(
     return out
 
 
-def _build_frame(p: int, q: int, alpha: tuple, beta: tuple, nvars: int, w: int):
-    """M, B of the frame for the sum over Z_q^n of omega_mod^(w f(x)), where
-    q = p^k and mod = xi_exponent_modulus(q).
-
-    For p = 2 the cross and linear coefficients of w f are even and are
-    halved exactly; for odd p the cross coefficients are halved through the
-    inverse of 2 mod q.
-    """
-    mod = xi_exponent_modulus(q)
-    dt = np.int64 if mod <= (1 << 25) else object
-    m = np.zeros((nvars, nvars), dtype=dt)
-    b = np.zeros(nvars, dtype=dt)
-    for (i, j), c in alpha:
-        c = (c * w) % mod
-        if i == j:
-            m[i - 1, i - 1] = c
-        else:
-            v = c // 2 if p == 2 else (c * (q + 1) // 2) % q
-            m[i - 1, j - 1] = v
-            m[j - 1, i - 1] = v
-    for i, c in beta:
-        c = (c * w) % mod
-        b[i - 1] = c // 2 if p == 2 else c
-    return m, b
-
-
 # ---------------------------------------------------------------------------
 # the core (gamma stripped, variables compressed)
 
 
-def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> Surd:
-    """Z_{1/2}(q, f) = sum over Z_q^n of omega_M^(u f(x)), M = xi_exponent_modulus(q).
+@lru_cache(maxsize=1 << 16)
+def _core(q: int, nused: int, rows: tuple, cols: tuple, vals: tuple, brows: tuple, bvals: tuple):
+    """(Z_{1/2}(q, f), steps), the sum over Z_q^n of omega_M^(u f(x)) with M =
+    xi_exponent_modulus(q), for f given by its canonical key (`_prepare`).
 
     xi_q = omega_M^u with u = 1 for even q and (q+1)/2 for odd q.  With M_i
     = xi_exponent_modulus(q_i) for the prime powers q_i of q, the units w_i =
     (M/M_i)^(-1) mod M_i give 1/M = sum w_i/M_i mod 1, so the sum factors
     into one frame per prime power, the 2-adic part first.
     """
-    if q == 1 or nvars == 0:
-        steps.append(("trivial_modulus", (q, nvars), _ONE))
-        return _ONE
+    if q == 1 or nused == 0:
+        return _ONE, (("trivial_modulus", (q, nused), _ONE),)
     mod = xi_exponent_modulus(q)
     u = 1 if q % 2 == 0 else (q + 1) // 2
     parts = factorize(q)
+    steps: list = []
     out = _ONE
     for p, k in parts:
         qi = p**k
@@ -438,18 +444,13 @@ def _core(q: int, alpha: tuple, beta: tuple, nvars: int, steps: list) -> Surd:
         if len(parts) > 1:
             steps.append(("crt_prime_power", (qi,), None))
         w = (u * modinv((mod // mi) % mi, mi)) % mi
-        m, b = _build_frame(p, qi, alpha, beta, nvars, w)
-        out = out * _frame_eval(p, k, m, b, mi, steps)
+        b = np.zeros(nused, dtype=_dtype(mi))
+        for i, c in zip(brows, bvals):
+            b[i] = c * w % mi // (2 if p == 2 else 1)
+        out = out * _frame_eval(p, k, _reduction(q, p, k, w, nused, rows, cols, vals), b, steps)
         if out.is_zero():
-            return out
-    return out
-
-
-@lru_cache(maxsize=1 << 16)
-def _core_cached(q: int, alpha: tuple, beta: tuple, nvars: int):
-    steps: list = []
-    value = _core(q, alpha, beta, nvars, steps)
-    return value, tuple(steps)
+            break
+    return out, tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +461,13 @@ def _prepare(f: QuadraticForm, mod: int):
     """One-pass reduce mod `mod`, periodicity check, variable compression.
 
     An even `mod` is the exponent modulus 2d of an even d, where every cross
-    and linear coefficient must be even.  Returns (alpha_key, beta_key,
-    nused, nfree).
+    and linear coefficient must be even.  Returns the canonical key (nused,
+    rows, cols, vals, brows, bvals), with the used variables renumbered 0 ..
+    nused-1 in their order and the entries sorted, and the count of unused
+    variables.
     """
     even = mod % 2 == 0
     alpha = []
-    used: set[int] = set()
     for (i, j), c in f.alpha.items():
         c %= mod
         if c == 0:
@@ -474,9 +476,7 @@ def _prepare(f: QuadraticForm, mod: int):
             raise AperiodicPolynomialError(
                 f"odd cross coefficient alpha[{i},{j}] violates periodicity"
             )
-        alpha.append(((i, j), c))
-        used.add(i)
-        used.add(j)
+        alpha.append((i, j, c))
     beta = []
     for i, c in f.beta.items():
         c %= mod
@@ -487,12 +487,14 @@ def _prepare(f: QuadraticForm, mod: int):
                 f"odd linear coefficient beta[{i}] violates periodicity"
             )
         beta.append((i, c))
-        used.add(i)
-    nused = len(used)
-    remap = {v: t + 1 for t, v in enumerate(sorted(used))}
-    alpha_key = tuple(sorted(((remap[i], remap[j]), c) for (i, j), c in alpha))
-    beta_key = tuple(sorted((remap[i], c) for i, c in beta))
-    return alpha_key, beta_key, nused, f.n - nused
+    alpha.sort()
+    beta.sort()
+    rows, cols, vals = zip(*alpha) if alpha else ((), (), ())
+    brows, bvals = zip(*beta) if beta else ((), ())
+    pos = {v: t for t, v in enumerate(sorted({*rows, *cols, *brows}))}
+    get = pos.__getitem__
+    key = (len(pos), tuple(map(get, rows)), tuple(map(get, cols)), vals, tuple(map(get, brows)), bvals)
+    return key, f.n - len(pos)
 
 
 def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) -> SumValue:
@@ -500,8 +502,8 @@ def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) ->
     gamma != 0 and q per variable that f does not use; mod is the exponent
     modulus xi_exponent_modulus(q).  The value becomes a CyclotomicNumber
     here, once."""
-    alpha, beta, nused, nfree = _prepare(f, mod)
-    value, steps = _core_cached(q, alpha, beta, nused)
+    key, nfree = _prepare(f, mod)
+    value, steps = _core(q, *key)
     head: tuple = ()
     if gamma:
         factor = Surd(1, 1, n, u * gamma % n)

@@ -6,6 +6,7 @@ import pytest
 from halfgauss.clifford import (
     Circuit,
     Gate,
+    NormalizedCircuit,
     amplitude,
     circuit_from_polynomial,
     format_circuit,
@@ -198,6 +199,35 @@ def test_probability_marginal_random():
                 assert p == _sv_marginal(c, a, b)
                 total += p
             assert total == 1
+
+
+def test_probability_marginal_register_without_internal_fourier():
+    # register r0 carries no internal F: either it has no gates at all, or
+    # C' puts only diagonal gates on it.  Its one segment variable is then
+    # inceptive and terminal at once, measured for k > r0 and shared by the
+    # two copies of the doubled form for k <= r0
+    rng = random.Random(31)
+    for d in (2, 3, 6):
+        m = 3 if d < 6 else 2
+        for t in range(6):
+            r0 = rng.randrange(m)
+            others = [r for r in range(m) if r != r0]
+            gates = [Gate(rng.choice(["F", "Z", "G"]), (rng.choice(others),)) for _ in range(5)]
+            if t % 2:
+                c = Circuit(d, m, tuple(gates))
+                nc = normalize(c)
+            else:
+                gates += [Gate(rng.choice(["Z", "G"]), (r0,)), Gate("CZ", (r0, rng.choice(others)))]
+                rng.shuffle(gates)
+                h = 2 * m + sum(g.kind == "F" for g in gates)
+                c = nc = NormalizedCircuit(d, m, tuple(gates), h, h - m)
+            assert len(phase_polynomial(nc)[1].per_register[r0]) == 1
+            a = tuple(rng.randrange(d) for _ in range(m))
+            probs = [(x * x.conj()).as_rational() for x in statevector(c, a)]
+            for k in range(1, m + 1):
+                for b in all_states(d, k):
+                    want = sum(p for p, digits in zip(probs, all_states(d, m)) if digits[:k] == b)
+                    assert probability_marginal(nc, a, b) == want, (d, gates, a, b)
 
 
 def test_probability_equals_amplitude_squared_when_all_measured():

@@ -16,6 +16,7 @@ from halfgauss.cyclotomic import (
 )
 from halfgauss import expsum
 from halfgauss.errors import AperiodicPolynomialError
+from halfgauss.numtheory import factorize
 from halfgauss.expsum import (
     check_periodicity,
     eval_gauss_quadratic,
@@ -219,13 +220,60 @@ def test_certificate_steps_compare_by_value():
         f = QuadraticForm(f.n + 2, f.alpha, f.beta, f.gamma0 or 1)
         for evaluate in (eval_half_gauss, eval_gauss_quadratic):
             first = evaluate(d, f)
-            expsum._core_cached.cache_clear()
+            expsum._core.cache_clear()
+            expsum._reduction.cache_clear()
             for leaf in (expsum._uni_odd, expsum._uni_half2, expsum._two_power2):
                 leaf.cache_clear()
             second = evaluate(d, f)
             assert second.steps == first.steps
             assert hash(second.steps) == hash(first.steps)
             assert "free_variables" in second.rule_counts()
+
+
+def test_canonical_key_shares_one_core_entry():
+    # renumbering the variables in order, adding unused ones, reordering the
+    # dicts and shifting coefficients by the exponent modulus all give the
+    # same canonical key: one _core miss, then hits with equal steps
+    rng = random.Random(18)
+    for d in (2, 8, 12, 45, 720, 2**20):
+        mod = xi_exponent_modulus(d)
+        f = random_periodic_form(d, rng.randrange(1, 5), rng)
+        slots = sorted(rng.sample(range(1, f.n + 4), f.n))
+        ren = dict(zip(range(1, f.n + 1), slots))
+        renumbered = {(ren[i], ren[j]): c for (i, j), c in f.alpha.items()}, {ren[i]: c for i, c in f.beta.items()}
+        reordered = dict(reversed(f.alpha.items())), dict(reversed(f.beta.items()))
+        shifted = {k: c - mod * rng.randrange(1, 4) for k, c in f.alpha.items()}, {i: c + mod for i, c in f.beta.items()}
+        variants = [f, QF(f.n + 3, *renumbered), QF(f.n + 2, *reordered, f.gamma0), QF(f.n, *shifted)]
+        for evaluate in (eval_half_gauss, eval_gauss_quadratic):
+            expsum._core.cache_clear()
+            steps = set()
+            for g in variants:
+                steps.add(tuple(s for s in evaluate(d, g).steps if s[0] not in ("constant_phase", "free_variables")))
+            info = expsum._core.cache_info()
+            assert (info.misses, info.hits) == (1, len(variants) - 1), (d, info)
+            assert len(steps) == 1
+
+
+def test_reduction_shared_across_linear_parts():
+    # one quadratic part with five linear parts costs one congruence
+    # reduction per prime power; the other frames are cache hits
+    # (nonzero sums, so that no frame is skipped after a zero one)
+    rng = random.Random(19)
+    for d in (8, 45, 720):
+        f = random_periodic_form(d, 5, rng)
+        forms = []
+        while len(forms) < 5:
+            g = QF(f.n, f.alpha, random_periodic_form(d, f.n, rng).beta, f.gamma0)
+            if not eval_half_gauss(d, g).value.is_zero():
+                forms.append(g)
+        expsum._core.cache_clear()
+        expsum._reduction.cache_clear()
+        frames = []
+        for g in forms:
+            frames += [s[1][:2] for s in eval_half_gauss(d, g).steps if s[0] == "congruence_reduction"]
+        info = expsum._reduction.cache_info()
+        assert info.misses == len(set(frames)) == len(factorize(d)), (d, info)
+        assert info.hits == len(frames) - info.misses
 
 
 def test_certificate_never_brute_forces():
@@ -358,12 +406,38 @@ def test_2adic_high_valuation_cross_block_at_2_pow_24():
     assert "block_two_2adic" in small.certificate.rule_counts()
 
 
+def test_frame_matches_entrywise_rule():
+    # the whole-array frame equals the entrywise rule, dtype included: the
+    # diagonal is c w mod M_i, a cross entry (c w mod 2q) / 2 at p = 2 and
+    # (c w mod q) (q + 1) / 2 mod q at odd p
+    from halfgauss.expsum import _frame, _prepare
+
+    rng = random.Random(24)
+    for d in (8, 45, 720, 3**7 * 5, 2**20, 2**26, 6 * 2**24):
+        mod = xi_exponent_modulus(d)
+        u = 1 if d % 2 == 0 else (d + 1) // 2
+        for _ in range(5):
+            f = random_periodic_form(d, rng.randrange(1, 6), rng, 0.6)
+            key, _ = _prepare(f, mod)
+            nused, rows, cols, vals = key[:4]
+            for p, k in factorize(d):
+                q = p**k
+                mi = xi_exponent_modulus(q)
+                w = u * pow(mod // mi, -1, mi) % mi
+                want = np.zeros((nused, nused), dtype=np.int64 if mi <= 1 << 25 else object)
+                for i, j, c in zip(rows, cols, vals):
+                    c = c * w % mi
+                    want[i, j] = want[j, i] = c if i == j else c // 2 if p == 2 else c * (q + 1) // 2 % q
+                got = _frame(d, p, k, w, *key[:4])
+                assert got.dtype == want.dtype and (got == want).all(), (d, p, k)
+
+
 def test_congruence_kernel_contract():
     # rebuild S from the shears of _reduce_symmetric and check that S^T M S
     # is the returned block diagonal: diagonals at the frame modulus, other
     # entries mod q at p = 2 (where they enter doubled) and at the frame
     # modulus at odd p; every variable lies in exactly one block
-    from halfgauss.expsum import _build_frame, _prepare, _reduce_symmetric
+    from halfgauss.expsum import _frame, _prepare, _reduce_symmetric
 
     rng = random.Random(23)
     frames = 0
@@ -375,10 +449,11 @@ def test_congruence_kernel_contract():
         f = random_periodic_form(q, rng.randrange(1, 9), rng, rng.choice([1.0, 0.6, 0.3]))
         f = f.scale(rng.choice([1, p, p * p]))
         mod = xi_exponent_modulus(q)
-        alpha, beta, nused, _ = _prepare(f, mod)
+        key, _ = _prepare(f, mod)
+        nused = key[0]
         if nused == 0:
             continue
-        m, _ = _build_frame(p, q, alpha, beta, nused, 1)
+        m = _frame(q, p, k, 1, *key[:4])
         shears, blocks = _reduce_symmetric(p, q, m, mod)
         s = np.identity(nused, dtype=object)
         for i, u in shears:
