@@ -24,18 +24,21 @@ blocks, which only occur for p = 2: the Jordan splitting of a p-adic form.
 One kernel does it, as dense elimination on a shrinking trailing block.
 Each pivot is an entry of least p-adic valuation (a diagonal one first,
 then the smallest variable index), moves to the front of the block, and the
-block takes one Schur-complement update T <- T - u r^T mod M.  That
-one-sided update is the two-sided congruence S^T M S exactly, because the
-pivot times u is the pivot row r mod M.  Each block is a univariate or
-bivariate sum with a closed form.  These leaves are the only home of the
-closed forms (`gauss_sum` and `half_gauss_sum` are one-variable calls of the
-evaluators): (a/q) G(1, q) at odd q = p^k, and G_{1/2}(m, 2^k) = 2^((k-1)/2)
-(1 + i^m) or 2^(k/2) omega_8^m by the parity of k.  Every leaf, and every
-product of leaves, phases and CRT parts, is a Surd r sqrt(s) zeta_n^t, so
-the pipeline costs O(n^3) ring operations per prime power plus O(log q) per
-block: polynomial in n and log q, with no brute-force fallback.  The value
-becomes a CyclotomicNumber once per call, which costs O(p) terms when s has
-a prime factor p (an odd-rank block at p).
+block takes one Schur-complement update T <- T - u r^T, on only the rows
+where u is nonzero when u is sparse.  That one-sided update is the
+two-sided congruence S^T M S mod M, because the pivot times u is the pivot
+row r mod M.  T stays only congruent mod M to the eagerly reduced block and
+is reduced where it is read: the pivot rows, and all of T before the test
+that ends the loop or before an int64 entry could overflow.  Each block is
+a univariate or bivariate sum with a closed form.  These leaves are the
+only home of the closed forms (`gauss_sum` and `half_gauss_sum` are
+one-variable calls of the evaluators): (a/q) G(1, q) at odd q = p^k, and
+G_{1/2}(m, 2^k) = 2^((k-1)/2) (1 + i^m) or 2^(k/2) omega_8^m by the parity
+of k.  Every leaf, and every product of leaves, phases and CRT parts, is a
+Surd r sqrt(s) zeta_n^t, so the pipeline costs O(n^3) ring operations per
+prime power plus O(log q) per block: polynomial in n and log q, with no
+brute-force fallback.  The value becomes a CyclotomicNumber once per call,
+which costs O(p) terms when s has a prime factor p (an odd-rank block at p).
 
 Input: `_prepare` makes one pass over the form (reduce mod M, check
 periodicity, drop unused variables) and returns its canonical key (nused,
@@ -46,13 +49,13 @@ number of unused variables, in dict order, or in coefficients congruent mod
 M share one key.  Every CRT frame derives from it: the matrix is the key's
 entries times the CRT unit w at the frame modulus, built with whole-array
 operations, and the linear vector is scaled the same way.  Arrays are int64
-while the modulus is at most 2^25, so that every product of two residues
-stays below 2^50, and exact object arrays above it.  Two lru_caches are
-keyed by the key: `_core` (65,536 entries) maps it to the value and steps,
-and serves forms repeated with only a new constant, as in the exhaustive
-sweeps; `_reduction` (64 entries) maps one frame's quadratic part to its
-shears and blocks, and serves one quadratic part with many linear parts, as
-in the amplitudes and marginals of one Clifford circuit.
+while the modulus is at most 2^25 (`_dtype`), and exact object arrays above
+it.  Two lru_caches are keyed by the key: `_core` (65,536 entries) maps it
+to the value and steps, and serves forms repeated with only a new constant,
+as in the exhaustive sweeps; `_reduction` (64 entries) maps one frame's
+quadratic part to its shears and blocks, and serves one quadratic part with
+many linear parts, as in the amplitudes and marginals of one Clifford
+circuit.
 
 Every evaluation returns one SumValue: the exact value and the certificate
 steps, an ordered tuple of (rule, params, factor) entries in which each
@@ -259,6 +262,11 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> Surd:
 # pivot quotient is integral at the working modulus.
 
 
+# An int64 trailing block is reduced whole before an entry could reach this
+# bound; below it, one row added to another still fits in int64.
+_INT64_HEADROOM = 1 << 62
+
+
 def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     """Block-diagonalize symmetric M by congruence; returns (shears, blocks).
 
@@ -267,11 +275,19 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     the pivot is an entry of valuation exactly e, a diagonal one before a
     cross one, and among those the one with the smallest original variable
     index.  It moves to the front of T and T takes one Schur-complement
-    update, T <- T - u r^T mod M with r the pivot row and u = r / m_ss.
+    update, T <- T - u r^T with r the pivot row and u = r / m_ss mod M.
     The congruence S^T M S of the shear gives T - u r^T - r u^T + m_ss u u^T,
-    which is the same, since m_ss u = r mod M.  A 2x2 pivot (p = 2 only)
-    takes two outer products, with (u1; u2) = P^(-1) (r1; r2).  At odd p a
-    cross pivot is bumped onto the diagonal first.
+    which is the same mod M, since m_ss u = r mod M.  A 2x2 pivot (p = 2
+    only) takes two outer products, with (u1; u2) = P^(-1) (r1; r2).  At odd
+    p a cross pivot is bumped onto the diagonal first.
+
+    T is only congruent mod M to the block the eager update would give, and
+    it is reduced where it is read: the pivot rows before the block entries
+    and u are taken from them, and all of T before the test that closes the
+    loop.  The valuation tests read it unreduced, since p^(e+1) divides M
+    wherever they run.  An int64 T is also reduced whole before its entries
+    could reach _INT64_HEADROOM.  An update touches only the rows where u is
+    nonzero when u is sparse.
 
     Each shear is a pair (t, u): the substitution x_t <- z_t - u.z, with u
     an n-vector at the frame modulus, recorded in application order so the
@@ -283,6 +299,11 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     idx = np.arange(n)  # position -> original variable index
     shears: list[tuple[int, np.ndarray]] = []
     blocks: list[tuple] = []
+    # |entries of T| <= bound, which grows by step per outer product; only an
+    # int64 T needs the guard
+    guard = m.dtype != object
+    step = (mod - 1) ** 2
+    bound = mod - 1
 
     def swap(a: int, t: int):
         # positions a and t of m[s:, s:]: rows, then the rows of m.T
@@ -300,12 +321,15 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
         hit = (m.diagonal()[s:] % (pe * p)).nonzero()[0]
         if hit.size:
             swap(s + hit[idx[s:][hit].argmin()], s)
+            m[s, s:] %= mod
             block = ("uni", int(idx[s]), int(m[s, s]))
             k, det, num = 1, block[2], (m[s, s + 1 :],)
         else:
             cand = m[s:, s:] % (pe * p) != 0
             rows = cand.any(axis=1).nonzero()[0] + s
             if not rows.size:
+                m[s:, s:] %= mod
+                bound = mod - 1
                 if not m[s:, s:].any():
                     blocks.extend(("uni", int(i), 0) for i in np.sort(idx[s:]))
                     break
@@ -325,6 +349,7 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
                 continue
             swap(a, s)
             swap(a if b == s else b, s + 1)
+            m[s : s + 2, s:] %= mod
             mii, mij, mjj = (int(x) for x in (m[s, s], m[s, s + 1], m[s + 1, s + 1]))
             block = ("two", int(idx[s]), int(idx[s + 1]), mii, mij, mjj)
             r1, r2 = m[s, s + 2 :], m[s + 1, s + 2 :]
@@ -335,16 +360,22 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
         pk = pe**k
         w = pow(det // pk % mod, -1, mod)
         t = m[s + k :, s + k :]
-        recorded = len(shears)
+        if guard and bound + k * step >= _INT64_HEADROOM:
+            t %= mod
+            bound = mod - 1
         for i in range(k):
             u = num[i] // pk % mod * w % mod
-            if np.count_nonzero(u):
-                t -= np.multiply.outer(u, m[s + i, s + k :])
+            nz = u.nonzero()[0]
+            if nz.size:
+                r = m[s + i, s + k :]
+                if 4 * nz.size < u.size:
+                    t[nz] -= np.multiply.outer(u[nz], r)
+                else:
+                    t -= np.multiply.outer(u, r)
+                bound += step
                 u_orig = np.zeros(n, dtype=m.dtype)
                 u_orig[idx[s + k :]] = u
                 shears.append((int(idx[s + i]), u_orig))
-        if len(shears) > recorded:
-            t %= mod
         blocks.append(block)
         s += k
 
@@ -352,8 +383,12 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
 
 
 def _dtype(mod: int):
-    """int64 for a modulus of at most 2^25, where every product of two
-    residues stays below 2^50; exact Python integers above it."""
+    """int64 for a modulus of at most 2^25, exact Python integers above it.
+
+    A product of two residues stays below 2^50, so the kernel's unreduced
+    trailing block takes at least 4,096 outer products before its entries
+    could reach _INT64_HEADROOM (2^62) and it is reduced whole.
+    """
     return np.int64 if mod <= (1 << 25) else object
 
 

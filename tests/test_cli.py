@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from halfgauss.cli import format_polynomial, parse_polynomial, run
+from halfgauss.expsum import eval_half_gauss, random_periodic_form
+from halfgauss.polynomials import QuadraticForm
 
 
 
@@ -174,6 +177,13 @@ def test_bench_subcommand(capsys):
     assert code == 0
     assert obj["brute_force_fallbacks"] == 0
     assert "not attempted" in obj["brute_force_terms"]
+    # the same form without its linear part is timed too, and says whether
+    # its value is nonzero
+    variant = obj["beta_removed"]
+    assert set(variant) == {"seconds", "nonzero"} and variant["seconds"] >= 0
+    f = random_periodic_form(12, 40, random.Random(1))
+    want = eval_half_gauss(12, QuadraticForm(f.n, f.alpha, {}, f.gamma0)).value
+    assert variant["nonzero"] is (not want.is_zero())
 
 
 def test_budget_flag(capsys):

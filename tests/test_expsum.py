@@ -481,3 +481,72 @@ def test_congruence_kernel_contract():
         assert p == 2 or all(blk[0] == "uni" for blk in blocks)
         frames += 1
     assert frames >= 300 and kinds == {"uni", "two"}
+
+
+def _kernel_frame(q, f):
+    from halfgauss.expsum import _frame, _prepare
+
+    (p, k), = factorize(q)
+    mod = xi_exponent_modulus(q)
+    key, _ = _prepare(f, mod)
+    return p, mod, _frame(q, p, k, 1, *key[:4])
+
+
+def test_congruence_kernel_contract_large_frames():
+    # the contract of test_congruence_kernel_contract on frames of 40-80
+    # variables, sparse and dense, where the trailing block goes unreduced for
+    # many pivots and sparse shears update only their nonzero rows; S is
+    # rebuilt with one column update per shear, S <- S (I - e_t u^T)
+    from halfgauss.expsum import _reduce_symmetric
+
+    rng = random.Random(41)
+    for p, k in ((2, 5), (2, 21), (3, 4), (3, 13), (5, 3), (5, 9)):
+        q = p**k
+        for density in (0.05, 1.0):
+            f = random_periodic_form(q, rng.randrange(40, 81), rng, density)
+            f = f.scale(rng.choice([1, p]))
+            p, mod, m = _kernel_frame(q, f)
+            n = m.shape[0]
+            shears, blocks = _reduce_symmetric(p, q, m, mod)
+            s = np.identity(n, dtype=object)
+            for t, u in shears:
+                s = (s - np.outer(s[:, t], u.astype(object))) % mod
+            red = s.T.dot(m.astype(object)).dot(s) % mod
+            want = np.zeros((n, n), dtype=object)
+            covered = []
+            for blk in blocks:
+                if blk[0] == "uni":
+                    _, i, mii = blk
+                    want[i, i] = mii
+                    covered.append(i)
+                else:
+                    _, i, j, mii, mij, mjj = blk
+                    want[i, i], want[i, j], want[j, i], want[j, j] = mii, mij, mij, mjj
+                    covered += [i, j]
+            assert sorted(covered) == list(range(n)), (q, density)
+            diff = red - want
+            diag = np.identity(n, dtype=bool)
+            assert not (diff[diag] % mod).any(), (q, density)
+            assert not (diff[~diag] % (q if p == 2 else mod)).any(), (q, density)
+
+
+def test_int64_headroom_guard_keeps_kernel_outputs(monkeypatch):
+    # with the headroom patched down to two or three outer products, the
+    # int64 trailing block is reduced whole every pivot or two; the shears,
+    # dtype included, and the blocks stay those of the unpatched run
+    from halfgauss.expsum import _reduce_symmetric
+
+    rng = random.Random(42)
+    for q in (2**24, 5**10):
+        for density in (1.0, 0.2):
+            f = random_periodic_form(q, rng.randrange(30, 41), rng, density)
+            p, mod, m = _kernel_frame(q, f)
+            assert m.dtype == np.int64
+            want_shears, want_blocks = _reduce_symmetric(p, q, m, mod)
+            monkeypatch.setattr(expsum, "_INT64_HEADROOM", 2 * (mod - 1) ** 2 + mod)
+            shears, blocks = _reduce_symmetric(p, q, m, mod)
+            monkeypatch.undo()
+            assert blocks == want_blocks
+            assert len(shears) == len(want_shears) > 0
+            for (t, u), (t0, u0) in zip(shears, want_shears):
+                assert t == t0 and u.dtype == u0.dtype == np.int64 and (u == u0).all()
