@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .cyclotomic import (
     CyclotomicNumber,
+    _inv_sqrt_d,
     inv_sqrt_d_power,
     one,
     root_of_unity,
@@ -139,26 +140,25 @@ def _compile_gate(g: Gate, d: int) -> list[Gate]:
 
 
 def _cancel_f_quads(gates: list[Gate], m: int) -> list[Gate]:
-    """Delete runs of four consecutive F gates per register (F^4 = I)."""
-    changed = True
-    while changed:
-        changed = False
-        runs: dict[int, list[int]] = {r: [] for r in range(m)}
-        drop: set[int] | None = None
-        for pos, g in enumerate(gates):
-            if g.kind == "F":
-                r = g.targets[0]
-                runs[r].append(pos)
-                if len(runs[r]) == 4:
-                    drop = set(runs[r])
-                    break
-            else:
-                for r in g.targets:
-                    runs[r] = []
-        if drop:
-            gates = [g for i, g in enumerate(gates) if i not in drop]
-            changed = True
-    return gates
+    """Delete runs of four consecutive F gates per register (F^4 = I).
+
+    One pass suffices: a run is deleted from its start, where the register's
+    previous gate is not an F, so the deletion never joins two other runs.
+    """
+    keep = [True] * len(gates)
+    runs: dict[int, list[int]] = {r: [] for r in range(m)}
+    for pos, g in enumerate(gates):
+        if g.kind == "F":
+            run = runs[g.targets[0]]
+            run.append(pos)
+            if len(run) == 4:
+                for i in run:
+                    keep[i] = False
+                run.clear()
+        else:
+            for r in g.targets:
+                runs[r] = []
+    return [g for g, k in zip(gates, keep) if k]
 
 
 def normalize(c: Circuit) -> NormalizedCircuit:
@@ -285,7 +285,7 @@ def amplitude(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int, ...]) -> 
         t = lab.terminal[r]
         beta[t] = beta.get(t, 0) + 2 * ((d - b[r]) % d)
     f = QuadraticForm(s.n, s.alpha, beta, 0)
-    return eval_half_gauss(d, f).value * inv_sqrt_d_power(d, nc.h)
+    return (eval_half_gauss(d, f).surd * _inv_sqrt_d(d, nc.h)).to_cyclotomic()
 
 
 def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
@@ -293,8 +293,9 @@ def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int
 
     Builds the doubled phase polynomial over x- and y-copies with the
     terminal segments of unmeasured registers shared, and evaluates
-    d^-(n+k) Z_{1/2}(d, phi).  The result is checked to be a rational in
-    [0, 1]; a violation raises InternalConsistencyError rather than clamping.
+    d^-(n+k) Z_{1/2}(d, phi), read off its Surd.  The result is checked to
+    be a rational in [0, 1]; a violation raises InternalConsistencyError
+    rather than clamping.
     """
     d = nc.d
     k = len(b)
@@ -344,8 +345,7 @@ def probability_marginal(nc: NormalizedCircuit, a: tuple[int, ...], b: tuple[int
         beta[yt] = beta.get(yt, 0) - c
 
     phi = QuadraticForm(total, alpha, beta, 0)
-    val = eval_half_gauss(d, phi).value.scale(Fraction(1, d ** (s.n + k)))
-    p = val.as_rational()
+    p = eval_half_gauss(d, phi).surd.scale(Fraction(1, d ** (s.n + k))).as_rational()
     if p is None:
         raise InternalConsistencyError("marginal probability is not rational")
     if p < 0 or p > 1:

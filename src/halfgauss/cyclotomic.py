@@ -1,7 +1,8 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Every sum, amplitude and probability in this package is a CyclotomicNumber,
-so all cross-checks are exact equality tests with no tolerances.
+Every public sum, amplitude and probability in this package is a
+CyclotomicNumber, so all cross-checks are exact equality tests with no
+tolerances.
 
 Canonical form: a value at conductor N is stored as the residue of its
 coefficient polynomial modulo the N-th cyclotomic polynomial Phi_N, i.e. a
@@ -10,11 +11,14 @@ equal iff their canonical forms agree after embedding at the lcm of their
 conductors.  For a dimension-d workflow the ambient field Q(zeta_{8d}) is
 large enough to hold every xi_d phase and every sqrt(d) normalization factor.
 
-The closed-form path carries a smaller value type: every Gauss block value,
-and every product of them, is 0 or r*sqrt(s)*zeta_n^t, a Surd, which
-multiplies in O(1) integer operations and becomes a CyclotomicNumber only
-through to_cyclotomic(), at the least conductor that holds it.  That
-conversion sums sqrt(p*) over Z_p, so it costs O(p) terms for a prime p | s.
+The closed-form path carries a smaller value type up to the public
+boundary: every Gauss block value, every product of them, every evaluator
+result and the amplitudes and marginals built from them is 0 or
+r*sqrt(s)*zeta_n^t, a Surd, which multiplies in O(1) integer operations.  It
+becomes a CyclotomicNumber only through to_cyclotomic(), at the least
+conductor that holds it (`Surd.conductor`).  That conversion sums sqrt(p*)
+over Z_p, so it costs O(p) terms for a prime p | s.  `str(Surd)` is the one
+closed-form rendering; `pretty` finds it for a CyclotomicNumber.
 
 Values are immutable after construction.  The caches are the only shared
 state; insertion is idempotent, so racing computations are harmless.
@@ -316,18 +320,22 @@ class CyclotomicNumber:
 
         Per-term error is at the double-precision level; heavy cancellation
         between terms can inflate the relative error beyond the nominal 1e-12.
+        The result is finite: a value beyond the float range raises
+        OverflowError (`to_json_dict` then writes a binary exponent).
         """
-        re = 0.0
-        im = 0.0
+        z, e = self._scaled_approx()
+        return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+
+    def _scaled_approx(self) -> tuple[complex, int]:
+        """(z, e) with the value about z * 2^e: each term is scaled by 2^(-e)
+        exactly before it becomes a float, and is then below 2 in size."""
+        e = max((c.numerator.bit_length() - c.denominator.bit_length() for c in self._c.values()), default=0)
         w = 2.0 * math.pi / self._n
-        for e, c in self._c.items():
-            try:
-                fc = float(c)
-            except OverflowError:
-                fc = math.inf if c > 0 else -math.inf
-            re += fc * math.cos(w * e)
-            im += fc * math.sin(w * e)
-        return complex(re, im)
+        z = 0j
+        for k, c in self._c.items():
+            v = (c.numerator << max(-e, 0)) / (c.denominator << max(e, 0))
+            z += complex(v * math.cos(w * k), v * math.sin(w * k))
+        return z, e
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -369,15 +377,18 @@ def xi_exponent_modulus(d: int) -> int:
     return d if d % 2 == 1 else 2 * d
 
 
+def _xi(d: int, conv: SignConvention = SignConvention.PLUS) -> tuple[int, int]:
+    """(m, u) with xi_d = zeta_m^u: omega_d^((d+1)/2) for odd d, and
+    omega_2d or -omega_2d = omega_2d^(d+1) for even d by the convention."""
+    if d % 2 == 1:
+        return d, (d + 1) // 2
+    return 2 * d, d + 1 if conv is SignConvention.MINUS_FOR_EVEN else 1
+
+
 def xi_pow(d: int, e: int, conv: SignConvention = SignConvention.PLUS) -> CyclotomicNumber:
     """xi_d^e, where xi_d is the chosen square root of omega_d with xi^(d^2) = 1."""
-    if d == 1:
-        return one()
-    if d % 2 == 1:
-        return root_of_unity(d, ((d + 1) // 2) * e)
-    if conv is SignConvention.PLUS:
-        return root_of_unity(2 * d, e)
-    return root_of_unity(2 * d, (d + 1) * e)
+    m, u = _xi(d, conv)
+    return root_of_unity(m, u * e)
 
 
 class Surd:
@@ -417,6 +428,38 @@ class Surd:
     def __repr__(self) -> str:
         return f"Surd({self.r}, {self.s}, {self.n}, {self.t})"
 
+    def __str__(self) -> str:
+        """a*sqrt(s)*zeta_m^u with the angle 2 pi u/m in [0, pi) and the sign
+        in a, e.g. -zeta_10 for zeta_5^3."""
+        a, phase = self.r, Fraction(self.t, self.n)
+        if phase >= Fraction(1, 2):
+            a, phase = -a, phase - Fraction(1, 2)
+        u, m = phase.numerator, phase.denominator
+        parts = [f"√{self.s}"] if self.s > 1 else []
+        if u:
+            parts.append(f"ζ_{m}^{u}" if u > 1 else f"ζ_{m}")
+        if not parts:
+            return str(a)
+        return ("-" if a == -1 else "" if a == 1 else f"{a}·") + "·".join(parts)
+
+    def as_rational(self) -> Fraction | None:
+        """The value as a rational, or None when it is irrational."""
+        return Fraction(self.r) if self.s == 1 and self.n == 1 else None
+
+    def conductor(self) -> int:
+        """The least N with the value in Q(zeta_N), where to_cyclotomic() puts
+        it: the lcm of the conductor of b = sqrt(s) zeta_8^(-e) (the product of
+        the odd primes p | s, times 4 when s is even) and that of the phase
+        left (`_unrooted`)."""
+        return math.lcm(2 * self.s if self.s % 2 == 0 else self.s, self._unrooted().n)
+
+    def _unrooted(self) -> "Surd":
+        """r zeta_n^t zeta_8^e, where sqrt(s) = b zeta_8^e with b =
+        _sqrt_base(s): sqrt(2) = (1 + i) zeta_8^(-1), and sqrt(p) = sqrt(p*)
+        i^(-1) for a prime p = 3 (mod 4)."""
+        e = -sum(p % 4 - 1 for p, _ in factorize(self.s))
+        return Surd(self.r, 1, self.n, self.t) * Surd(1, 1, 8, e)
+
     def scale(self, c: Rational) -> "Surd":
         return Surd(self.r * c, self.s, self.n, self.t)
 
@@ -433,22 +476,19 @@ class Surd:
 
 
 @lru_cache(maxsize=1 << 10)
-def _sqrt_base(s: int) -> tuple[CyclotomicNumber, int]:
-    """(b, e) with sqrt(s) = b zeta_8^e for squarefree s > 1: b is 1 + i =
-    sqrt(2) zeta_8 if s is even, times sqrt(p*) = sqrt(p) i^[p = 3 mod 4] per
-    odd prime p | s, summed as the Gauss sum of zeta_p^(x^2) over Z_p (the
-    one place a Gauss sum is summed term by term)."""
+def _sqrt_base(s: int) -> CyclotomicNumber:
+    """b with sqrt(s) = b zeta_8^e (`Surd._unrooted`) for squarefree s > 1: b
+    is 1 + i = sqrt(2) zeta_8 if s is even, times sqrt(p*) = sqrt(p)
+    i^[p = 3 mod 4] per odd prime p | s, summed as the Gauss sum of
+    zeta_p^(x^2) over Z_p (the one place a Gauss sum is summed term by term)."""
     out = None
-    e = 0
     for p, _ in factorize(s):
         if p == 2:
             f = CyclotomicNumber(4, {0: 1, 1: 1})
-            e -= 1
         else:
             f = CyclotomicNumber(p, {0: 1, **{x * x % p: 2 for x in range(1, (p + 1) // 2)}})
-            e -= 2 if p % 4 == 3 else 0
         out = f if out is None else out * f
-    return out, e % 8
+    return out
 
 
 @lru_cache(maxsize=1 << 12)
@@ -457,108 +497,92 @@ def _surd_value(r: Rational, s: int, n: int, t: int) -> CyclotomicNumber:
     and the phase that is left is normalised like a Surd's."""
     if s == 1:
         return root_of_unity(n, t).scale(r)
-    base, e = _sqrt_base(s)
-    m = n * 8 // math.gcd(n, 8)
-    x = Surd(r, 1, m, t * (m // n) + e * (m // 8))
-    return (base * root_of_unity(x.n, x.t)).scale(x.r)
+    x = Surd(r, s, n, t)._unrooted()
+    return (_sqrt_base(s) * root_of_unity(x.n, x.t)).scale(x.r)
+
+
+def _sqrt(s: int) -> Surd:
+    """The positive square root of a positive integer s."""
+    whole = free = 1
+    for p, k in factorize(s):
+        whole *= p ** (k // 2)
+        free *= p ** (k % 2)
+    return Surd(whole, free)
 
 
 def sqrt_int(s: int) -> CyclotomicNumber:
     """Exact positive square root of a positive integer, as a converted Surd."""
     if s < 1:
         raise ValueError("sqrt_int needs a positive integer")
-    whole = free = 1
-    for p, k in factorize(s):
-        whole *= p ** (k // 2)
-        free *= p ** (k % 2)
-    return Surd(whole, free).to_cyclotomic()
+    return _sqrt(s).to_cyclotomic()
+
+
+def _inv_sqrt_d(d: int, h: int) -> Surd:
+    """d^(-h/2) = sqrt(d)^(h mod 2) / d^ceil(h/2)."""
+    return (_sqrt(d) if h % 2 else Surd(1)).scale(Fraction(1, d ** ((h + 1) // 2)))
 
 
 def inv_sqrt_d_power(d: int, h: int) -> CyclotomicNumber:
     """Exact d^(-h/2), i.e. 1/sqrt(d)^h."""
-    if h % 2 == 0:
-        return CyclotomicNumber.from_rational(Fraction(1, d ** (h // 2)))
-    return sqrt_int(d).scale(Fraction(1, d ** ((h + 1) // 2)))
+    return _inv_sqrt_d(d, h).to_cyclotomic()
+
+
+def _from_counts(m: int, u: int, counts: Iterable[int] | Mapping[int, int]) -> CyclotomicNumber:
+    """Sum_j counts[j] * zeta_m^(u j), for a sequence indexed by j or a
+    mapping j -> count; the coefficients are stored as Python ints."""
+    acc: dict[int, Rational] = {}
+    for j, c in counts.items() if isinstance(counts, Mapping) else enumerate(counts):
+        if c:
+            e = u * j % m
+            acc[e] = acc.get(e, 0) + int(c)
+    return CyclotomicNumber(m, acc)
 
 
 def from_xi_counts(
     d: int,
-    counts: Iterable[int],
+    counts: Iterable[int] | Mapping[int, int],
     conv: SignConvention = SignConvention.PLUS,
 ) -> CyclotomicNumber:
-    """Sum_j counts[j] * xi_d^j, for counts indexed by exponent."""
-    if d % 2 == 1:
-        half = (d + 1) // 2
-        acc: dict[int, Rational] = {}
-        for j, c in enumerate(counts):
-            if c:
-                e = (half * j) % d
-                acc[e] = acc.get(e, 0) + c
-        return CyclotomicNumber(d, acc)
-    n = 2 * d
-    acc = {}
-    for j, c in enumerate(counts):
-        if c:
-            e = ((d + 1) * j) % n if conv is SignConvention.MINUS_FOR_EVEN else j % n
-            acc[e] = acc.get(e, 0) + c
-    return CyclotomicNumber(n, acc)
+    """Sum_j counts[j] * xi_d^j, for counts indexed by exponent (a sequence or
+    a mapping)."""
+    return _from_counts(*_xi(d, conv), counts)
 
 
-def from_omega_counts(b: int, counts: Iterable[int]) -> CyclotomicNumber:
-    """Sum_j counts[j] * omega_b^j."""
-    acc: dict[int, Rational] = {}
-    for j, c in enumerate(counts):
-        if c:
-            e = j % b
-            acc[e] = acc.get(e, 0) + c
-    return CyclotomicNumber(b, acc)
-
-
-def _squarefree_divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, _ in factorize(n):
-        divs += [d * p for d in divs]
-    return divs
+def from_omega_counts(b: int, counts: Iterable[int] | Mapping[int, int]) -> CyclotomicNumber:
+    """Sum_j counts[j] * omega_b^j (a sequence or a mapping)."""
+    return _from_counts(b, 1, counts)
 
 
 def pretty(x: CyclotomicNumber) -> str | None:
-    """Render x as a*sqrt(s)*zeta_N^t when it exactly matches that pattern."""
-    if x.is_zero():
-        return "0"
+    """x as a*sqrt(s)*zeta_m^u in the form of `Surd.__str__`, the same at every
+    conductor, or None when it has no such form.
+
+    The phase t is read from the float rendering as an 8N-th root of unity,
+    N = x.conductor; every squarefree s | 2N with sqrt(s) zeta_8N^t in
+    Q(zeta_N) is then tried exactly, so a wrong reading can only give None.
+    A one-term x is read exactly, since floats cannot resolve its phase at
+    conductors of about 2^53 and above.
+    """
     r = x.as_rational()
     if r is not None:
         return str(r)
     n = x.conductor
-    # at odd n, -zeta_n^t can take several terms, and one at 2n
-    for m in (n, 2 * n) if n % 2 else (n,):
-        y = x.embed(m)
-        for s in _squarefree_divisors(2 * n):
-            root = sqrt_int(s)
-            u = y * root.conj() if s > 1 else y
-            c = u.coeffs
-            if len(c) != 1:
-                continue
-            (t, a), = c.items()
-            a = Fraction(a, s)
-            nn = u.conductor
-            if t:
-                g = math.gcd(t, nn)
-                t //= g
-                nn //= g
-            parts = []
-            if a == -1:
-                parts.append("-")
-            elif a != 1:
-                parts.append(f"{a}·")
-            if s > 1:
-                parts.append(f"√{s}")
-            if t != 0:
-                if s > 1:
-                    parts.append("·")
-                parts.append(f"ζ_{nn}^{t}" if t != 1 else f"ζ_{nn}")
-            if not parts or parts == ["-"]:
-                parts.append("1")
-            return "".join(parts)
+    if len(x._c) == 1:
+        ((e, c),) = x._c.items()
+        return str(Surd(c, 1, n, e))
+    z, _ = x._scaled_approx()
+    t = round(math.atan2(z.imag, z.real) * 4 * n / math.pi) % (8 * n)
+    divisors = [1]
+    for p, _ in factorize(2 * n):
+        divisors += [s * p for s in divisors]
+    for s in divisors:
+        root = Surd(1, s, 8 * n, t)
+        if n % root.conductor() == 0:
+            y = root.to_cyclotomic().embed(n)
+            e, c = next(iter(y._c.items()))
+            a = Fraction(x._c.get(e, 0)) / c
+            if y.scale(a) == x:
+                return str(root.scale(a))
     return None
 
 
@@ -566,13 +590,19 @@ def to_json_dict(x: CyclotomicNumber, approx_only: bool = False) -> dict:
     """JSON rendering per the documented wire format.
 
     Rational values are rendered at conductor 1 so that equal values coming
-    from different evaluation routes serialize identically.
+    from different evaluation routes serialize identically.  `approx` holds
+    finite floats; a value beyond the float range gets the pair scaled by
+    2^(-exp2) and the key "exp2".
     """
     r = x.as_rational()
     if r is not None:
         x = CyclotomicNumber.from_rational(r)
-    z = x.approx()
-    out: dict = {"approx": {"re": z.real, "im": z.imag}}
+    z, e = x._scaled_approx()
+    try:
+        approx = {"re": math.ldexp(z.real, e), "im": math.ldexp(z.imag, e)}
+    except OverflowError:
+        approx = {"re": z.real, "im": z.imag, "exp2": e}
+    out: dict = {"approx": approx}
     if not approx_only:
         out["conductor"] = x.conductor
         out["coeffs"] = {str(e): str(Fraction(c)) for e, c in sorted(x.coeffs.items())}

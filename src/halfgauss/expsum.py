@@ -37,8 +37,12 @@ G_{1/2}(m, 2^k) = 2^((k-1)/2) (1 + i^m) or 2^(k/2) omega_8^m by the parity
 of k.  Every leaf, and every product of leaves, phases and CRT parts, is a
 Surd r sqrt(s) zeta_n^t, so the pipeline costs O(n^3) ring operations per
 prime power plus O(log q) per block: polynomial in n and log q, with no
-brute-force fallback.  The value becomes a CyclotomicNumber once per call,
-which costs O(p) terms when s has a prime factor p (an odd-rank block at p).
+brute-force fallback.  The result keeps the Surd (`SumValue.surd`), and the
+callers on the closed-form path (`gap2`, the Clifford amplitudes and
+marginals, `holant_affine`) read or multiply it.  It becomes a
+CyclotomicNumber only when `SumValue.value` is read, which costs O(p) terms
+when s has a prime factor p (an odd-rank block at p), once per distinct
+value.
 
 Input: `_prepare` makes one pass over the form (reduce mod M, check
 periodicity, drop unused variables) and returns its canonical key (nused,
@@ -57,16 +61,17 @@ quadratic part to its shears and blocks, and serves one quadratic part with
 many linear parts, as in the amplitudes and marginals of one Clifford
 circuit.
 
-Every evaluation returns one SumValue: the exact value and the certificate
-steps, an ordered tuple of (rule, params, factor) entries in which each
-multiplicative contribution appears as a Surd leaf factor (factor is None
-for structural steps).  Multiplying the leaf factors together and converting
-once reproduces the value (`leaf_product`); `certificate` is the result.  The
-rules: constant_phase and free_variables (leaves), trivial_modulus (leaf
-1) when nothing is left to sum, one crt_prime_power per prime-power part of
-a composite modulus, one congruence_reduction per frame, and one leaf per
-block (block_uni_2adic, block_uni_odd, block_two_2adic).  The minus sign
-convention prepends minus_convention_rescale.
+Every evaluation returns one SumValue: the exact value as a Surd and the
+certificate steps, an ordered tuple of (rule, params, factor) entries in
+which each multiplicative contribution appears as a Surd leaf factor (factor
+is None for structural steps).  Multiplying the leaf factors together and
+converting once reproduces the value (`leaf_product`); `certificate` is the
+result.  The rules: constant_phase and free_variables (leaves),
+trivial_modulus (leaf 1) when nothing is left to sum, one crt_prime_power
+per prime-power part of a composite modulus, one congruence_reduction per
+frame, and one leaf per block (block_uni_2adic, block_uni_odd,
+block_two_2adic).  The minus sign convention prepends
+minus_convention_rescale.
 """
 
 from __future__ import annotations
@@ -86,18 +91,24 @@ from .polynomials import QuadraticForm
 
 
 class SumValue:
-    """Evaluation result: the exact value and its certificate steps.
+    """Evaluation result: the exact value, a Surd, and its certificate steps.
 
     Each step is a (rule, params, factor) tuple; factor is None for a
     structural step and the leaf factor, a Surd, otherwise, and the product
-    of the leaf factors equals the value, a CyclotomicNumber.
+    of the leaf factors equals the value.
     """
 
-    __slots__ = ("value", "steps")
+    __slots__ = ("surd", "steps")
 
-    def __init__(self, value: CyclotomicNumber, steps: tuple):
-        self.value = value
+    def __init__(self, surd: Surd, steps: tuple):
+        self.surd = surd
         self.steps = steps
+
+    @property
+    def value(self) -> CyclotomicNumber:
+        """The value as a CyclotomicNumber, converted when read (memoised by
+        value in `cyclotomic`)."""
+        return self.surd.to_cyclotomic()
 
     @property
     def certificate(self) -> "SumValue":
@@ -121,7 +132,7 @@ class SumValue:
         return any(rule == "brute_force" for rule, _, _ in self.steps)
 
     def __repr__(self) -> str:
-        return f"SumValue({self.value!r}, {len(self.steps)} steps)"
+        return f"SumValue({self.surd!r}, {len(self.steps)} steps)"
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +546,7 @@ def _prepare(f: QuadraticForm, mod: int):
 def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) -> SumValue:
     """Z_{1/2}(q, f) from the core, times the phase omega_n^(u gamma) when
     gamma != 0 and q per variable that f does not use; mod is the exponent
-    modulus xi_exponent_modulus(q).  The value becomes a CyclotomicNumber
-    here, once."""
+    modulus xi_exponent_modulus(q)."""
     key, nfree = _prepare(f, mod)
     value, steps = _core(q, *key)
     head: tuple = ()
@@ -548,7 +558,7 @@ def _evaluate(q: int, f: QuadraticForm, mod: int, gamma: int, n: int, u: int) ->
         factor = Surd(q**nfree)
         head += (("free_variables", (nfree,), factor),)
         value = factor * value
-    return SumValue(value.to_cyclotomic(), head + steps if head else steps)
+    return SumValue(value, head + steps if head else steps)
 
 
 def eval_half_gauss(d: int, f: QuadraticForm) -> SumValue:
@@ -582,15 +592,16 @@ def eval_half_gauss_with_convention(
     if conv is SignConvention.PLUS or d % 2 == 1:
         return eval_half_gauss(d, f)
     out = eval_half_gauss(d, f.scale(d + 1))
-    return SumValue(out.value, (("minus_convention_rescale", (d + 1,), None),) + out.steps)
+    return SumValue(out.surd, (("minus_convention_rescale", (d + 1,), None),) + out.steps)
 
 
 def gap2(g: QuadraticForm) -> int:
     """Exact gap(g) = sum over x in {0,1}^n of (-1)^g(x), for quadratic g.
 
-    This is Z(2, g), since omega_2 = -1, so the one evaluator computes it.
+    This is Z(2, g), since omega_2 = -1, so the one evaluator computes it,
+    and the integer is read off its Surd.
     """
-    return int(eval_gauss_quadratic(2, g).value.as_rational())
+    return int(eval_gauss_quadratic(2, g).surd.as_rational())
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .clifford import Circuit, Gate, statevector
 from .cyclotomic import (
     CyclotomicNumber,
+    Surd,
     one,
     root_of_unity,
     xi_exponent_modulus,
@@ -94,10 +95,8 @@ def eval_two_power(s: TwoPowerSum, budget: int | None = None) -> TwoPowerResult:
                 {i: c // shift for i, c in f.beta.items()},
                 0,
             )
-            value = eval_half_gauss(2, reduced).value
-            if f.gamma0 % phase_mod:
-                value = root_of_unity(phase_mod, f.gamma0) * value
-            return TwoPowerResult(value, "periodic-reduction")
+            value = eval_half_gauss(2, reduced).surd * Surd(1, 1, phase_mod, f.gamma0)
+            return TwoPowerResult(value.to_cyclotomic(), "periodic-reduction")
     value = brute_sum(SumDescriptor(2, phase_mod, s.poly), budget)
     return TwoPowerResult(value, "brute-force")
 

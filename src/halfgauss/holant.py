@@ -30,7 +30,7 @@ from .cyclotomic import (
     xi_pow,
 )
 from .errors import AperiodicPolynomialError, BudgetExceededError
-from .expsum import check_periodicity, eval_half_gauss
+from .expsum import check_periodicity, eval_half_gauss_with_convention
 from .oracle import term_budget
 from .polynomials import QuadraticForm
 
@@ -217,14 +217,17 @@ def holant_affine(
     Every constraint row is replaced by its Fourier indicator
     (1/d) sum_y omega^(y (A.x + c)), whose cross terms are even by
     construction, so the whole grid compiles into one periodic half Gauss
-    sum over |E| + #rows variables.
+    sum over |E| + #rows variables, with every xi^g(x) (constants included)
+    in its exponent.  The sign convention rescales that exponent, and leaves
+    the Fourier terms alone, since omega^(d c) = 1.  Only the lambda that
+    are not 1 are multiplied.
     """
     d = grid.d
-    scale_g = (d + 1) if (conv is SignConvention.MINUS_FOR_EVEN and d % 2 == 0) else 1
     edge_var = {e: i + 1 for i, e in enumerate(grid.edges)}
     nxt = len(grid.edges) + 1
     alpha: dict[tuple[int, int], int] = {}
     beta: dict[int, int] = {}
+    gamma = 0
     lam = one()
     n_rows = 0
 
@@ -239,18 +242,17 @@ def holant_affine(
             raise ValueError("holant_affine needs every signature in the affine class")
         if not check_periodicity(d, sig.g):
             raise AperiodicPolynomialError("affine signature with aperiodic quadratic part")
-        lam = lam * sig.lam
-        if lam.is_zero():
-            return CyclotomicNumber.zero()
+        if sig.lam != 1:
+            lam = lam * sig.lam
+            if lam.is_zero():
+                return CyclotomicNumber.zero()
         local = [edge_var[e] for e in v.edges]
         for (i, j), c in sig.g.alpha.items():
-            a, b = local[i - 1], local[j - 1]
-            bump(a, b, scale_g * c)
+            bump(local[i - 1], local[j - 1], c)
         for i, c in sig.g.beta.items():
             t = local[i - 1]
-            beta[t] = beta.get(t, 0) + scale_g * c
-        if sig.g.gamma0:
-            lam = lam * xi_pow(d, scale_g * sig.g.gamma0)
+            beta[t] = beta.get(t, 0) + c
+        gamma += sig.g.gamma0
         for coeffs, const in sig.rows:
             y = nxt
             nxt += 1
@@ -260,10 +262,9 @@ def holant_affine(
                     bump(y, local[pos], 2 * c)
             if const % d:
                 beta[y] = beta.get(y, 0) + 2 * const
-    total_vars = nxt - 1
-    phi = QuadraticForm(total_vars, alpha, beta, 0)
-    z = eval_half_gauss(d, phi).value
-    return (lam * z).scale(Fraction(1, d**n_rows))
+    phi = QuadraticForm(nxt - 1, alpha, beta, gamma)
+    z = eval_half_gauss_with_convention(d, phi, conv).surd
+    return lam * z.scale(Fraction(1, d**n_rows)).to_cyclotomic()
 
 
 # ---------------------------------------------------------------------------

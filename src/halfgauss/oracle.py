@@ -20,6 +20,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     SignConvention,
     from_omega_counts,
+    from_xi_counts,
     xi_exponent_modulus,
     xi_pow,
 )
@@ -62,23 +63,29 @@ def _check_budget(d: int, n: int, budget: int | None):
         raise BudgetExceededError(needed, cap)
 
 
-def _value_counts(d: int, poly: IntPolynomial, modulus: int) -> np.ndarray:
-    """Histogram of f(x) mod modulus over the full grid Z_d^n."""
+def _value_counts(d: int, poly: IntPolynomial, modulus: int) -> dict[int, int]:
+    """Histogram {f(x) mod modulus: count} over the full grid Z_d^n, of the
+    size of the grid whatever the modulus.  The array path is int64 while a
+    residue times a coordinate, (modulus-1)(d-1), stays below 2^62, so that a
+    sum of two residues fits too, and exact Python integers above it."""
     n = poly.n
     if d**n <= 512:
-        counts = np.zeros(modulus, dtype=np.int64)
+        counts: dict[int, int] = {}
         for xs in itertools.product(range(d), repeat=n):
-            counts[poly.evaluate(xs, modulus)] += 1
+            v = poly.evaluate(xs, modulus)
+            counts[v] = counts.get(v, 0) + 1
         return counts
-    values = np.zeros((d,) * n, dtype=np.int64)
+    dtype = np.int64 if (modulus - 1) * (d - 1) < 1 << 62 else object
+    values = np.zeros((d,) * n, dtype=dtype)
     for mono, c in poly.terms.items():
-        term = np.int64(c % modulus)
+        term = c % modulus
         for v in mono:
             shape = [1] * n
             shape[v - 1] = d
-            term = term * np.arange(d, dtype=np.int64).reshape(shape) % modulus
+            term = term * np.arange(d, dtype=dtype).reshape(shape) % modulus
         values = (values + term) % modulus
-    return np.bincount(values.reshape(-1), minlength=modulus)
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def brute_sum(s: SumDescriptor, budget: int | None = None) -> CyclotomicNumber:
@@ -95,8 +102,6 @@ def brute_half_gauss(
     budget: int | None = None,
 ) -> CyclotomicNumber:
     """Exact Z_{1/2}(d, f) by enumeration; works for aperiodic f too."""
-    from .cyclotomic import from_xi_counts
-
     _check_budget(d, f.n, budget)
     mod = xi_exponent_modulus(d)
     counts = _value_counts(d, f.to_int_polynomial(), mod)
@@ -110,8 +115,7 @@ def count_solutions(
     if modulus < 1:
         raise ValueError("modulus must be positive")
     _check_budget(d, f.n, budget)
-    counts = _value_counts(d, f, modulus)
-    return int(counts[j % modulus])
+    return _value_counts(d, f, modulus).get(j % modulus, 0)
 
 
 def fourier_zero_identity_check(

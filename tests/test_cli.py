@@ -42,10 +42,14 @@ def test_parse_errors_have_positions():
         parse_polynomial("x1^y")
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_eval_sum_half(capsys):
@@ -248,3 +252,27 @@ def test_approx_only_does_not_change_verdicts(capsys):
         capsys, ["--approx-only", "eval-sum", "--mode", "half", "--d", "2", "--poly", "x1*x2"]
     )
     assert code2 == 1
+
+
+def test_bench_value_beyond_float_range_is_strict_json(capsys):
+    # the value's coefficients are far beyond float range: approx is a finite
+    # mantissa pair with a binary exponent
+    code, obj = _run_json(capsys, ["bench", "--n", "500", "--d", "720", "--seed", "1"])
+    assert code == 0
+    approx = obj["value"]["approx"]
+    assert set(approx) == {"re", "im", "exp2"} and approx["exp2"] > 1024
+    assert 0 < abs(complex(approx["re"], approx["im"])) < 4
+
+
+def test_brute_force_paths_are_bounded_by_the_grid(capsys):
+    # a huge phase modulus or counting modulus costs the grid, not the modulus
+    big = str(10**16)
+    code, obj = _run_json(
+        capsys, ["eval-sum", "--mode", "general", "--d", "2", "--phase", big, "--poly", "x1"]
+    )
+    assert code == 0
+    assert obj["value"]["conductor"] == 10**16 and obj["value"]["coeffs"] == {"0": "1", "1": "1"}
+    code, obj = _run_json(
+        capsys, ["count-zeros", "--d", "3", "--poly", "x1^2", "--target", "1", "--modulus", big]
+    )
+    assert code == 0 and obj["count"] == 1

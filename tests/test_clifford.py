@@ -301,3 +301,37 @@ def test_circuit_text_roundtrip():
         parse_circuit_text("qudits 2\nF 0\n")
     with pytest.raises(ValueError):
         parse_circuit_text("dim 3\nqudits 1\nF zero\n")
+
+
+def _cancel_f_quads_by_rescan(gates, m):
+    """Reference: delete the first run of four F on one register, then rescan."""
+    while True:
+        runs = {r: [] for r in range(m)}
+        for pos, g in enumerate(gates):
+            if g.kind == "F":
+                runs[g.targets[0]].append(pos)
+                if len(runs[g.targets[0]]) == 4:
+                    drop = set(runs[g.targets[0]])
+                    gates = [h for i, h in enumerate(gates) if i not in drop]
+                    break
+            else:
+                for r in g.targets:
+                    runs[r] = []
+        else:
+            return gates
+
+
+def test_cancel_f_quads_one_pass_matches_rescan():
+    from halfgauss.clifford import _cancel_f_quads
+
+    rng = random.Random(12)
+    for _ in range(3000):
+        m = rng.randrange(1, 4)
+        gates = []
+        for _ in range(rng.randrange(0, 30)):
+            kind = rng.choice(["F", "F", "F", "F", "Z", "G", "CZ"])
+            if kind == "CZ" and m > 1:
+                gates.append(Gate("CZ", tuple(rng.sample(range(m), 2))))
+            else:
+                gates.append(Gate("F" if kind == "CZ" else kind, (rng.randrange(m),)))
+        assert _cancel_f_quads(gates, m) == _cancel_f_quads_by_rescan(gates, m)

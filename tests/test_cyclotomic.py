@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from halfgauss.cyclotomic import (
     xi_exponent_modulus,
     xi_pow,
 )
+from halfgauss.gauss import gauss_sum, half_gauss_sum
 from halfgauss.numtheory import factorize
 
 
@@ -243,3 +245,68 @@ def test_surd_to_cyclotomic_against_gauss_sum_roots():
                 got = Surd(r, s, n, t).to_cyclotomic()
                 assert got == want, (r, s, n, t)
                 assert got.conductor <= want.conductor, (r, s, n, t)
+
+
+def test_counts_constructors_store_python_ints():
+    # int64 counts would wrap silently in products
+    import numpy as np
+
+    y = from_omega_counts(3, np.array([3**13, 2**40, 7]))
+    z = from_omega_counts(3, [3**13, 2**40, 7])
+    assert all(type(c) is int for c in y.coeffs.values())
+    assert y * y * y == z * z * z
+    assert from_omega_counts(3, {0: 3**13, 1: 2**40, 2: 7}) == z
+    assert from_xi_counts(4, {1: 1, 0: 1}) == from_xi_counts(4, [1, 1])
+
+
+def test_pretty_is_one_string_per_value():
+    x = half_gauss_sum(1, 18, SignConvention.MINUS_FOR_EVEN)
+    for m in (x.conductor, 24, 72, 144):
+        assert pretty(x.embed(m)) == "-3·√2·ζ_8^3"
+    y = root_of_unity(5, 3)
+    for m in (5, 10, 15, 20):
+        assert pretty(y.embed(m)) == "-ζ_10"
+    assert pretty(root_of_unity(12, 5)) == "ζ_12^5"
+    z = sqrt_int(3) * root_of_unity(7, 2)
+    for m in (z.conductor, 2 * z.conductor, 5 * z.conductor):
+        assert pretty(z.embed(m)) == "√3·ζ_7^2"
+    assert pretty(one() + root_of_unity(5, 1)) is None
+    huge = CyclotomicNumber(10**16, {10**16 // 3 + 1: 1})
+    assert pretty(huge) == "ζ_5000000000000000^1666666666666667"
+    assert pretty(CyclotomicNumber(6, {1: 2})) == "2·ζ_6"
+
+
+def test_pretty_of_large_prime_gauss_sums_is_fast():
+    for p, want in ((503, "√503·ζ_4"), (1009, "√1009"), (2003, "√2003·ζ_4")):
+        x = gauss_sum(1, p)
+        t0 = time.perf_counter()
+        obj = to_json_dict(x)
+        assert obj["pretty"] == want
+        assert time.perf_counter() - t0 < 0.05, p
+
+
+def test_surd_rendering_and_conductor():
+    assert str(Surd(3, 5, 5, 3)) == "-3·√5·ζ_10"
+    assert str(Surd(Fraction(-1, 2), 2, 8, 1)) == "-1/2·√2·ζ_8"
+    assert str(Surd(-1)) == "-1" and str(Surd(0, 3)) == "0" and str(Surd(1, 1, 4, 3)) == "-ζ_4"
+    assert Surd(Fraction(5, 3)).as_rational() == Fraction(5, 3)
+    assert Surd(1, 2).as_rational() is None and Surd(1, 1, 3, 1).as_rational() is None
+    for s in (1, 2, 3, 5, 6, 7, 10, 15):
+        for n in (1, 3, 4, 8, 12, 16, 24):
+            for t in range(n):
+                x = Surd(-2, s, n, t)
+                assert x.conductor() == x.to_cyclotomic().conductor, (s, n, t)
+
+
+def test_approx_is_finite_or_refuses():
+    big = CyclotomicNumber(8, {0: 3**2000, 1: -(3**2000) + 1})
+    with pytest.raises(OverflowError):
+        big.approx()
+    obj = to_json_dict(big)
+    approx = obj["approx"]
+    assert approx["exp2"] > 1024 and math.isfinite(approx["re"]) and math.isfinite(approx["im"])
+    assert "exp2" not in to_json_dict(root_of_unity(8, 1))["approx"]
+    tiny = CyclotomicNumber(4, {0: Fraction(1, 3**1000)})
+    assert tiny.approx() == 0
+    half = CyclotomicNumber(4, {1: Fraction(3**700 + 1, 2 * 3**700)})
+    assert abs(half.approx() - 0.5j) < 1e-15

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from halfgauss.cyclotomic import one, root_of_unity
+from halfgauss.cyclotomic import CyclotomicNumber, one, root_of_unity
 from halfgauss.errors import BudgetExceededError
 from halfgauss.oracle import (
     SumDescriptor,
@@ -120,3 +120,24 @@ def test_fourier_identity_random():
         mod = d if d % 2 else 2 * d
         j = rng.randrange(mod)
         assert fourier_zero_identity_check(d, f, j)
+
+
+def test_counts_beyond_int64_products_are_exact():
+    # (modulus - 1)(d - 1) >= 2^62 puts the array path on exact integers; a
+    # grid of 3^7 > 512 points takes that path, checked pointwise
+    modulus = 1 << 70
+    poly = IntPolynomial(7, {(1, 1): 3**40 + 1, (2, 3): 2**65 + 7, (7,): 5, (): 2**69})
+    direct: dict[int, int] = {}
+    for xs in itertools.product(range(3), repeat=7):
+        v = poly.evaluate(xs, modulus)
+        direct[v] = direct.get(v, 0) + 1
+    for j in list(direct)[:5] + [1]:
+        assert count_solutions(3, poly, j, modulus) == direct.get(j, 0)
+    # at 2^62 the value is a CyclotomicNumber too, with Python-int coefficients
+    got = brute_sum(SumDescriptor(3, 1 << 62, poly))
+    assert all(type(c) is int for c in got.coeffs.values())
+    want: dict[int, int] = {}
+    for xs in itertools.product(range(3), repeat=7):
+        v = poly.evaluate(xs, 1 << 62)
+        want[v] = want.get(v, 0) + 1
+    assert got == CyclotomicNumber(1 << 62, want)
