@@ -21,15 +21,21 @@ Chinese remainder theorem into all its prime powers in one loop (2-adic part
 first), and per prime power reduce the symmetric coefficient matrix by an
 exact congruence transform (unimodular shears) into 1x1 blocks, plus 2x2
 blocks, which only occur for p = 2: the Jordan splitting of a p-adic form.
-One kernel does it, as dense elimination on a shrinking trailing block.
-Each pivot is an entry of least p-adic valuation (a diagonal one first,
-then the smallest variable index), moves to the front of the block, and the
-block takes one Schur-complement update T <- T - u r^T, on only the rows
-where u is nonzero when u is sparse.  That one-sided update is the
-two-sided congruence S^T M S mod M, because the pivot times u is the pivot
-row r mod M.  T stays only congruent mod M to the eagerly reduced block and
-is reduced where it is read: the pivot rows, and all of T before the test
-that ends the loop or before an int64 entry could overflow.  Each block is
+One kernel does it, as elimination on a shrinking trailing block.  Each
+pivot is an entry of least p-adic valuation (a diagonal one first, then the
+smallest variable index), and the block takes one Schur-complement update
+T <- T - u r^T.  That one-sided update is the two-sided congruence S^T M S
+mod M, because the pivot times u is the pivot row r mod M.  The kernel
+starts sparse, with one dict of reduced entries per variable, so that the
+phase polynomials of Clifford circuits and Holant grids, where a variable
+meets only a few others, eliminate in time proportional to the fill.  Once
+the block holds more than a few entries per variable it goes to a dense
+loop on an array, which moves each pivot to the front, updates only the
+rows where u is nonzero when u is sparse, and lets T drift congruent mod M,
+reducing it where it is read: the pivot rows, and all of T before the test
+that ends the loop or before an int64 entry could overflow.  Both phases
+pick the same pivots and record each shear as the nonzero entries of u,
+(t, cols, vals), which the linear part takes sparsely.  Each block is
 a univariate or bivariate sum with a closed form.  These leaves are the
 only home of the closed forms (`gauss_sum` and `half_gauss_sum` are
 one-variable calls of the evaluators): (a/q) G(1, q) at odd q = p^k, and
@@ -277,42 +283,169 @@ def _two_power2(k: int, a: int, b: int, c: int, d: int, e: int) -> Surd:
 # bound; below it, one row added to another still fits in int64.
 _INT64_HEADROOM = 1 << 62
 
+# The sparse phase hands the trailing block to the dense loop once it holds
+# more than this many entries per variable, or before one update would touch
+# more than this many entries per variable of the block.
+_SPARSE_DEGREE = 8
+
 
 def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
     """Block-diagonalize symmetric M by congruence; returns (shears, blocks).
 
-    One loop over the trailing block T = m[s:, s:] of the not yet eliminated
-    variables.  Every entry of T has valuation at least e, and e never drops:
-    the pivot is an entry of valuation exactly e, a diagonal one before a
-    cross one, and among those the one with the smallest original variable
-    index.  It moves to the front of T and T takes one Schur-complement
-    update, T <- T - u r^T with r the pivot row and u = r / m_ss mod M.
-    The congruence S^T M S of the shear gives T - u r^T - r u^T + m_ss u u^T,
-    which is the same mod M, since m_ss u = r mod M.  A 2x2 pivot (p = 2
-    only) takes two outer products, with (u1; u2) = P^(-1) (r1; r2).  At odd
-    p a cross pivot is bumped onto the diagonal first.
+    The trailing block T holds the not yet eliminated variables.  Every
+    entry of T has valuation at least e, and e never drops: the pivot is an
+    entry of valuation exactly e, a diagonal one before a cross one, and
+    among those the one with the smallest original variable index.  T takes
+    one Schur-complement update, T <- T - u r^T with r the pivot row and u =
+    r / m_ss mod M.  The congruence S^T M S of the shear gives T - u r^T -
+    r u^T + m_ss u u^T, which is the same mod M, since m_ss u = r mod M.  A
+    2x2 pivot (p = 2 only) takes two outer products, with (u1; u2) = P^(-1)
+    (r1; r2).  At odd p a cross pivot is bumped onto the diagonal first, by
+    x_a -> x_a + x_b.
 
-    T is only congruent mod M to the block the eager update would give, and
-    it is reduced where it is read: the pivot rows before the block entries
-    and u are taken from them, and all of T before the test that closes the
-    loop.  The valuation tests read it unreduced, since p^(e+1) divides M
-    wherever they run.  An int64 T is also reduced whole before its entries
-    could reach _INT64_HEADROOM.  An update touches only the rows where u is
-    nonzero when u is sparse.
+    Two phases share that rule, and the pivots and shears do not depend on
+    which one runs.  The sparse phase holds T as one dict per variable,
+    keyed by original index, with entries reduced mod M, so an update costs
+    nnz(u) nnz(r) and nothing moves.  Once T holds more than _SPARSE_DEGREE
+    entries per variable, or just before one update (a hub row) would touch
+    more than that many entries per variable, T is copied in sorted order
+    into an array at the frame dtype, and the dense loop carries on at the
+    same level p^e; a frame that starts above the bound goes there
+    directly.  The dense loop moves each pivot to the front of T.  Its T is
+    only congruent mod M to the reduced block and is reduced where it is
+    read: the pivot rows before the block entries and u are taken from
+    them, and all of T before the test that closes the loop.  The valuation
+    tests read it unreduced, since p^(e+1) divides M wherever they run.  An
+    int64 T is also reduced whole before its entries could reach
+    _INT64_HEADROOM.  An update touches only the rows where u is nonzero
+    when u is sparse.
 
-    Each shear is a pair (t, u): the substitution x_t <- z_t - u.z, with u
-    an n-vector at the frame modulus, recorded in application order so the
-    linear part transforms as B <- B - B_t u (mod q).  Blocks are ("uni", i,
-    m_ii) or ("two", i, j, m_ii, m_ij, m_jj) entries at the frame modulus.
+    Each shear is (t, cols, vals): the substitution x_t <- z_t - u.z, where
+    u is zero but at the original indices `cols` (intp), where it holds
+    `vals` at the frame dtype and modulus; shears are recorded in
+    application order, so the linear part transforms as B <- B - B_t u (mod
+    q).  Blocks are ("uni", i, m_ii) or ("two", i, j, m_ii, m_ij, m_jj)
+    entries at the frame modulus.
     """
-    m = m_mat.copy()
-    n = m.shape[0]
-    idx = np.arange(n)  # position -> original variable index
-    shears: list[tuple[int, np.ndarray]] = []
+    n = m_mat.shape[0]
+    dtype = m_mat.dtype
+    shears: list[tuple[int, np.ndarray, np.ndarray]] = []
     blocks: list[tuple] = []
+    m = m_mat % mod
+    idx = np.arange(n)  # position -> original variable index
+    pe = 1  # p^e
+    fill = np.count_nonzero(m)
+    if fill <= _SPARSE_DEGREE * n:
+        rows, cols = m.nonzero()
+        # sparse phase: T[i] = {j: T_ij mod M} over the nonzero entries, by
+        # original index, and fill = nnz(T)
+        T: dict[int, dict[int, int]] = {i: {} for i in range(n)}
+        for i, j, v in zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()):
+            T[i][j] = v
+        pp = p  # p^(e+1)
+        hits = {i for i, row in T.items() if row.get(i, 0) % pp}  # diagonals of valuation e
+        while T:
+            cap = _SPARSE_DEGREE * len(T)
+            if fill > cap:
+                break
+            if hits:
+                s = min(hits)
+                if (len(T[s]) - 1) ** 2 > cap:
+                    break
+                r = T.pop(s)
+                mss = r.pop(s)
+                hits.discard(s)
+                fill -= 2 * len(r) + 1
+                w = pow(mss // pe, -1, mod)
+                block = ("uni", s, mss)
+                pivots = ((s, {j: v // pe * w % mod for j, v in r.items()}, r),)
+            else:
+                if not fill:
+                    blocks.extend(("uni", i, 0) for i in sorted(T))
+                    return shears, blocks
+                a = b = None
+                for i in sorted(T):
+                    cand = [j for j, v in T[i].items() if v % pp]
+                    if cand:
+                        a, b = i, min(cand)
+                        break
+                if a is None:
+                    pe, pp = pp, pp * p
+                    hits = {i for i, row in T.items() if row.get(i, 0) % pp}
+                    continue
+                ra, rb = T[a], T[b]
+                if p != 2:
+                    # x_a -> x_a + x_b: row b += row a, then column b += column
+                    # a, which adds 2 m_ab + m_aa, of valuation e, to m_bb
+                    new = dict(rb)
+                    for j, v in ra.items():
+                        new[j] = new.get(j, 0) + v
+                    new[b] = new.get(b, 0) + new.get(a, 0)
+                    new = {j: v % mod for j, v in new.items() if v % mod}
+                    fill += 2 * (len(new) - len(rb)) - (b in new) + (b in rb)
+                    T[b] = new
+                    for j in rb.keys() - new.keys() - {b}:
+                        del T[j][b]
+                    for j, v in new.items():
+                        T[j][b] = v
+                    if new.get(b, 0) % pp:
+                        hits.add(b)
+                    shears.append((a, np.array([b], dtype=np.intp), np.array([mod - 1], dtype=dtype)))
+                    continue
+                mii, mij, mjj = ra.get(a, 0), ra[b], rb.get(b, 0)
+                r1 = {j: v for j, v in ra.items() if j != a and j != b}
+                r2 = {j: v for j, v in rb.items() if j != a and j != b}
+                pk = pe * pe
+                w = pow((mii * mjj - mij * mij) // pk % mod, -1, mod)
+                u1: dict[int, int] = {}
+                u2: dict[int, int] = {}
+                for j in r1.keys() | r2.keys():
+                    x, y = r1.get(j, 0), r2.get(j, 0)
+                    v1 = (mjj * x - mij * y) // pk % mod * w % mod
+                    v2 = (mii * y - mij * x) // pk % mod * w % mod
+                    if v1:
+                        u1[j] = v1
+                    if v2:
+                        u2[j] = v2
+                if len(u1) * len(r1) + len(u2) * len(r2) > cap:
+                    break
+                del T[a], T[b]
+                fill -= len(ra) + len(rb) + len(r1) + len(r2)
+                block = ("two", a, b, mii, mij, mjj)
+                pivots = ((a, u1, r1), (b, u2, r2))
+            for t, u, r in pivots:
+                for j in r:
+                    del T[j][t]
+                for i, ui in u.items():
+                    ri = T[i]
+                    before = len(ri)
+                    for j, v in r.items():
+                        x = (ri.get(j, 0) - ui * v) % mod
+                        if x:
+                            ri[j] = x
+                        else:
+                            ri.pop(j, None)
+                    fill += len(ri) - before
+                    if ri.get(i, 0) % pp:
+                        hits.add(i)
+                    else:
+                        hits.discard(i)
+                if u:
+                    shears.append((t, np.fromiter(u, np.intp, len(u)), np.fromiter(u.values(), dtype, len(u))))
+            blocks.append(block)
+        else:
+            return shears, blocks
+        # hand-off: the active block, in sorted order, at the frame dtype
+        idx = np.array(sorted(T), dtype=np.intp)
+        pos = {v: t for t, v in enumerate(idx.tolist())}
+        ent = [(pos[i], pos[j], v) for i, row in T.items() for j, v in row.items()]
+        rows, cols, vals = zip(*ent) if ent else ((), (), ())
+        m = np.zeros((idx.size, idx.size), dtype=dtype)
+        m[list(rows), list(cols)] = np.array(vals, dtype=dtype)
+    n = m.shape[0]
     # |entries of T| <= bound, which grows by step per outer product; only an
     # int64 T needs the guard
-    guard = m.dtype != object
+    guard = dtype != object
     step = (mod - 1) ** 2
     bound = mod - 1
 
@@ -326,7 +459,6 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
             idx[t], idx[a] = idx[a], idx[t]
 
     s = 0
-    pe = 1  # p^e
     while s < n:
         # nothing has valuation below e: nonzero mod p^(e+1) means exactly e
         hit = (m.diagonal()[s:] % (pe * p)).nonzero()[0]
@@ -354,9 +486,7 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
                 for v in (m, m.T):
                     v[b, s:] += v[a, s:]
                     v[b, s:] %= mod
-                u = np.zeros(n, dtype=m.dtype)
-                u[idx[b]] = mod - 1
-                shears.append((int(idx[a]), u))
+                shears.append((int(idx[a]), idx[b : b + 1].copy(), np.array([mod - 1], dtype=dtype)))
                 continue
             swap(a, s)
             swap(a if b == s else b, s + 1)
@@ -384,9 +514,7 @@ def _reduce_symmetric(p: int, q: int, m_mat: np.ndarray, mod: int):
                 else:
                     t -= np.multiply.outer(u, r)
                 bound += step
-                u_orig = np.zeros(n, dtype=m.dtype)
-                u_orig[idx[s + k :]] = u
-                shears.append((int(idx[s + i]), u_orig))
+                shears.append((int(idx[s + i]), idx[s + k :][nz], u[nz]))
         blocks.append(block)
         s += k
 
@@ -437,10 +565,10 @@ def _frame_eval(p: int, k: int, reduction: tuple, b: np.ndarray, steps: list) ->
     b (at Z_{p^k})."""
     q = p**k
     shears, blocks = reduction
-    for t, u in shears:
+    for t, cols, vals in shears:
         bt = b[t]
         if bt:
-            b = (b - bt * u) % q
+            b[cols] = (b[cols] - bt * vals) % q
     steps.append(("congruence_reduction", (p, k, len(blocks)), None))
     out = _ONE
     for blk in blocks:

@@ -55,11 +55,10 @@ def jacobi_symbol(a: int, n: int) -> int:
 
 
 def factorize(d: int) -> list[tuple[int, int]]:
-    """Sorted prime factorization of d by trial division; requires 1 <= d < 2^63."""
+    """Sorted prime factorization of d >= 1 by trial division.  The factors 2
+    and 3 are stripped first, at any size; what is left must be below 2^63."""
     if d < 1:
         raise ValueError(f"factorize needs d >= 1, got {d}")
-    if d >= FACTOR_CAP:
-        raise ValueError(f"factorize input {d} exceeds the 2^63 cap")
     out: list[tuple[int, int]] = []
     for p in (2, 3):
         if d % p == 0:
@@ -68,6 +67,8 @@ def factorize(d: int) -> list[tuple[int, int]]:
                 d //= p
                 k += 1
             out.append((p, k))
+    if d >= FACTOR_CAP:
+        raise ValueError(f"factorize: the part {d} of the input prime to 6 is at or above the 2^63 cap")
     # 6k+-1 wheel
     p = 5
     step = 2

@@ -19,6 +19,7 @@ import numpy as np
 from .cyclotomic import (
     CyclotomicNumber,
     SignConvention,
+    _phi_degree,
     from_omega_counts,
     from_xi_counts,
     xi_exponent_modulus,
@@ -54,6 +55,13 @@ class SumDescriptor:
                 f"domain modulus {self.domain_modulus} exceeds phase modulus "
                 f"{self.phase_modulus}"
             )
+        try:
+            _phi_degree(self.phase_modulus)  # the values live in Q(zeta_b)
+        except ValueError:
+            raise ValueError(
+                f"phase modulus {self.phase_modulus} is out of reach: without "
+                "its factors 2 and 3 it is still 2^63 or more"
+            ) from None
 
 
 def _check_budget(d: int, n: int, budget: int | None):
@@ -118,6 +126,32 @@ def count_solutions(
     return _value_counts(d, f, modulus).get(j % modulus, 0)
 
 
+def _fourier_terms(d: int, f: QuadraticForm, budget: int | None = None) -> tuple[dict, list]:
+    """The two sides' data of the zero-counting identity for one form: the
+    histogram of f mod M over Z_d^n, by enumeration, and Z_{1/2}(d, k f) for
+    k in [0, M), through the fast evaluator, with M = xi_exponent_modulus(d).
+    Scaling preserves the periodicity condition, which is asserted here."""
+    mod = xi_exponent_modulus(d)
+    _check_budget(d, f.n, budget)
+    counts = _value_counts(d, f.to_int_polynomial(), mod)
+    halves = []
+    for k in range(mod):
+        kf = f.scale(k).reduce_mod(mod)
+        assert check_periodicity(d, kf), "scaling must preserve periodicity"
+        halves.append(eval_half_gauss(d, kf).value)
+    return counts, halves
+
+
+def _identity_holds(d: int, terms: tuple[dict, list], j: int) -> bool:
+    """The identity at outcome j, from the data of `_fourier_terms`."""
+    counts, halves = terms
+    mod = len(halves)
+    rhs = CyclotomicNumber.zero()
+    for k, z in enumerate(halves):
+        rhs = rhs + xi_pow(d, -k * j) * z
+    return rhs.scale(Fraction(1, mod)) == CyclotomicNumber.from_rational(counts.get(j % mod, 0))
+
+
 def fourier_zero_identity_check(
     d: int, f: QuadraticForm, j: int, budget: int | None = None
 ) -> bool:
@@ -126,13 +160,5 @@ def fourier_zero_identity_check(
     The left side counts solutions of f = j (mod 2d for even d, mod d for
     odd d) by enumeration; the right side is (1/mod) sum_k xi^{-kj}
     Z_{1/2}(d, k f) with the half sums taken through the fast evaluator.
-    Scaling preserves the periodicity condition, which is asserted here.
     """
-    mod = xi_exponent_modulus(d)
-    lhs = count_solutions(d, f.to_int_polynomial(), j, mod, budget)
-    rhs = CyclotomicNumber.zero()
-    for k in range(mod):
-        kf = f.scale(k).reduce_mod(mod)
-        assert check_periodicity(d, kf), "scaling must preserve periodicity"
-        rhs = rhs + xi_pow(d, -k * j) * eval_half_gauss(d, kf).value
-    return rhs.scale(Fraction(1, mod)) == CyclotomicNumber.from_rational(lhs)
+    return _identity_holds(d, _fourier_terms(d, f, budget), j)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cyclotomic import from_xi_counts, xi_exponent_modulus, xi_pow
 from .expsum import eval_half_gauss, random_periodic_form
-from .oracle import brute_half_gauss, fourier_zero_identity_check
+from .oracle import _fourier_terms, _identity_holds, brute_half_gauss
 from .polynomials import QuadraticForm
 
 _MAX_WITNESSES = 20
@@ -130,9 +130,10 @@ def _fourier_chunk(args) -> tuple[int, list]:
             for betas in itertools.product(constrained, repeat=n):
                 beta = {i + 1: b for i, b in enumerate(betas)}
                 f = QuadraticForm(n, alpha, beta, 0)
+                terms = _fourier_terms(d, f)
                 for j in range(mod):
                     cases += 1
-                    if not fourier_zero_identity_check(d, f, j):
+                    if not _identity_holds(d, terms, j):
                         if len(fails) < _MAX_WITNESSES:
                             fails.append((d, f.key(), j))
     return cases, fails
@@ -148,7 +149,8 @@ def fourier_sweep(d: int, n: int, processes: int = 1) -> tuple[int, list]:
     mod = xi_exponent_modulus(d)
     if n == 0:
         f = QuadraticForm(0, {}, {}, 0)
-        fails = [(d, f.key(), j) for j in range(mod) if not fourier_zero_identity_check(d, f, j)]
+        terms = _fourier_terms(d, f)
+        fails = [(d, f.key(), j) for j in range(mod) if not _identity_holds(d, terms, j)]
         return mod, fails
     firsts = list(range(2 * d))
     k = max(processes, 1)

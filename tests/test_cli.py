@@ -276,3 +276,18 @@ def test_brute_force_paths_are_bounded_by_the_grid(capsys):
         capsys, ["count-zeros", "--d", "3", "--poly", "x1^2", "--target", "1", "--modulus", big]
     )
     assert code == 0 and obj["count"] == 1
+
+
+def test_eval_sum_phase_modulus_at_and_beyond_2_pow_63(capsys):
+    # factorization strips 2 and 3 before its 2^63 cap, so a phase modulus of
+    # 2^63 works; one whose part prime to 6 reaches 2^63 is a usage error
+    # that names the phase modulus
+    argv = ["eval-sum", "--mode", "general", "--d", "2", "--poly", "x1", "--phase"]
+    code, obj = _run_json(capsys, argv + [str(1 << 63)])
+    assert code == 0
+    assert obj["value"]["conductor"] == 1 << 63 and obj["value"]["coeffs"] == {"0": "1", "1": "1"}
+    big = str((1 << 64) + 1)
+    code, obj = _run_json(capsys, argv + [big])
+    assert code == 1 and obj["error"]["kind"] == "ValueError"
+    assert f"phase modulus {big}" in obj["error"]["message"]
+    assert "factorize" not in obj["error"]["message"]

@@ -432,12 +432,37 @@ def test_frame_matches_entrywise_rule():
                 assert got.dtype == want.dtype and (got == want).all(), (d, p, k)
 
 
-def test_congruence_kernel_contract():
+def _dense_shears(shears, n):
+    # (t, cols, vals) shears as (t, u) with u the dense n-vector, dtype kept
+    out = []
+    for t, cols, vals in shears:
+        assert cols.dtype == np.intp and len(cols) == len(vals) > 0
+        u = np.zeros(n, dtype=vals.dtype)
+        u[cols] = vals
+        out.append((t, u))
+    return out
+
+
+def _both_phases(monkeypatch, p, q, m, mod):
+    # the kernel run dense from the start and sparse to the end
+    from halfgauss.expsum import _reduce_symmetric
+
+    out = []
+    for degree in (0, m.shape[0] + 1):
+        monkeypatch.setattr(expsum, "_SPARSE_DEGREE", degree)
+        shears, blocks = _reduce_symmetric(p, q, m, mod)
+        out.append((_dense_shears(shears, m.shape[0]), blocks))
+    monkeypatch.undo()
+    return out
+
+
+def test_congruence_kernel_contract(monkeypatch):
     # rebuild S from the shears of _reduce_symmetric and check that S^T M S
     # is the returned block diagonal: diagonals at the frame modulus, other
     # entries mod q at p = 2 (where they enter doubled) and at the frame
-    # modulus at odd p; every variable lies in exactly one block
-    from halfgauss.expsum import _frame, _prepare, _reduce_symmetric
+    # modulus at odd p; every variable lies in exactly one block; both the
+    # dense loop and the sparse phase meet it
+    from halfgauss.expsum import _frame, _prepare
 
     rng = random.Random(23)
     frames = 0
@@ -454,31 +479,31 @@ def test_congruence_kernel_contract():
         if nused == 0:
             continue
         m = _frame(q, p, k, 1, *key[:4])
-        shears, blocks = _reduce_symmetric(p, q, m, mod)
-        s = np.identity(nused, dtype=object)
-        for i, u in shears:
-            step = np.identity(nused, dtype=object)
-            step[i] -= u.astype(object)
-            s = s.dot(step) % mod
-        red = s.T.dot(m.astype(object)).dot(s) % mod
-        want = np.zeros((nused, nused), dtype=object)
-        covered = []
-        for blk in blocks:
-            kinds.add(blk[0])
-            if blk[0] == "uni":
-                _, i, mii = blk
-                want[i, i] = mii
-                covered.append(i)
-            else:
-                _, i, j, mii, mij, mjj = blk
-                want[i, i], want[i, j], want[j, i], want[j, j] = mii, mij, mij, mjj
-                covered += [i, j]
-        assert sorted(covered) == list(range(nused)), (p, q, blocks)
-        off = q if p == 2 else mod
-        for i in range(nused):
-            for j in range(nused):
-                assert (red[i, j] - want[i, j]) % (mod if i == j else off) == 0, (p, q, i, j)
-        assert p == 2 or all(blk[0] == "uni" for blk in blocks)
+        for shears, blocks in _both_phases(monkeypatch, p, q, m, mod):
+            s = np.identity(nused, dtype=object)
+            for i, u in shears:
+                step = np.identity(nused, dtype=object)
+                step[i] -= u.astype(object)
+                s = s.dot(step) % mod
+            red = s.T.dot(m.astype(object)).dot(s) % mod
+            want = np.zeros((nused, nused), dtype=object)
+            covered = []
+            for blk in blocks:
+                kinds.add(blk[0])
+                if blk[0] == "uni":
+                    _, i, mii = blk
+                    want[i, i] = mii
+                    covered.append(i)
+                else:
+                    _, i, j, mii, mij, mjj = blk
+                    want[i, i], want[i, j], want[j, i], want[j, j] = mii, mij, mij, mjj
+                    covered += [i, j]
+            assert sorted(covered) == list(range(nused)), (p, q, blocks)
+            off = q if p == 2 else mod
+            for i in range(nused):
+                for j in range(nused):
+                    assert (red[i, j] - want[i, j]) % (mod if i == j else off) == 0, (p, q, i, j)
+            assert p == 2 or all(blk[0] == "uni" for blk in blocks)
         frames += 1
     assert frames >= 300 and kinds == {"uni", "two"}
 
@@ -492,13 +517,12 @@ def _kernel_frame(q, f):
     return p, mod, _frame(q, p, k, 1, *key[:4])
 
 
-def test_congruence_kernel_contract_large_frames():
+def test_congruence_kernel_contract_large_frames(monkeypatch):
     # the contract of test_congruence_kernel_contract on frames of 40-80
     # variables, sparse and dense, where the trailing block goes unreduced for
-    # many pivots and sparse shears update only their nonzero rows; S is
-    # rebuilt with one column update per shear, S <- S (I - e_t u^T)
-    from halfgauss.expsum import _reduce_symmetric
-
+    # many pivots and sparse shears update only their nonzero rows, or where
+    # the sparse phase runs to the end; S is rebuilt with one column update
+    # per shear, S <- S (I - e_t u^T)
     rng = random.Random(41)
     for p, k in ((2, 5), (2, 21), (3, 4), (3, 13), (5, 3), (5, 9)):
         q = p**k
@@ -507,33 +531,34 @@ def test_congruence_kernel_contract_large_frames():
             f = f.scale(rng.choice([1, p]))
             p, mod, m = _kernel_frame(q, f)
             n = m.shape[0]
-            shears, blocks = _reduce_symmetric(p, q, m, mod)
-            s = np.identity(n, dtype=object)
-            for t, u in shears:
-                s = (s - np.outer(s[:, t], u.astype(object))) % mod
-            red = s.T.dot(m.astype(object)).dot(s) % mod
-            want = np.zeros((n, n), dtype=object)
-            covered = []
-            for blk in blocks:
-                if blk[0] == "uni":
-                    _, i, mii = blk
-                    want[i, i] = mii
-                    covered.append(i)
-                else:
-                    _, i, j, mii, mij, mjj = blk
-                    want[i, i], want[i, j], want[j, i], want[j, j] = mii, mij, mij, mjj
-                    covered += [i, j]
-            assert sorted(covered) == list(range(n)), (q, density)
-            diff = red - want
-            diag = np.identity(n, dtype=bool)
-            assert not (diff[diag] % mod).any(), (q, density)
-            assert not (diff[~diag] % (q if p == 2 else mod)).any(), (q, density)
+            for shears, blocks in _both_phases(monkeypatch, p, q, m, mod):
+                s = np.identity(n, dtype=object)
+                for t, u in shears:
+                    s = (s - np.outer(s[:, t], u.astype(object))) % mod
+                red = s.T.dot(m.astype(object)).dot(s) % mod
+                want = np.zeros((n, n), dtype=object)
+                covered = []
+                for blk in blocks:
+                    if blk[0] == "uni":
+                        _, i, mii = blk
+                        want[i, i] = mii
+                        covered.append(i)
+                    else:
+                        _, i, j, mii, mij, mjj = blk
+                        want[i, i], want[i, j], want[j, i], want[j, j] = mii, mij, mij, mjj
+                        covered += [i, j]
+                assert sorted(covered) == list(range(n)), (q, density)
+                diff = red - want
+                diag = np.identity(n, dtype=bool)
+                assert not (diff[diag] % mod).any(), (q, density)
+                assert not (diff[~diag] % (q if p == 2 else mod)).any(), (q, density)
 
 
 def test_int64_headroom_guard_keeps_kernel_outputs(monkeypatch):
     # with the headroom patched down to two or three outer products, the
     # int64 trailing block is reduced whole every pivot or two; the shears,
-    # dtype included, and the blocks stay those of the unpatched run
+    # dtype included, and the blocks stay those of the unpatched run; the
+    # sparse phase is patched off, since these forms would never leave it
     from halfgauss.expsum import _reduce_symmetric
 
     rng = random.Random(42)
@@ -541,12 +566,88 @@ def test_int64_headroom_guard_keeps_kernel_outputs(monkeypatch):
         for density in (1.0, 0.2):
             f = random_periodic_form(q, rng.randrange(30, 41), rng, density)
             p, mod, m = _kernel_frame(q, f)
+            n = m.shape[0]
             assert m.dtype == np.int64
+            monkeypatch.setattr(expsum, "_SPARSE_DEGREE", 0)
             want_shears, want_blocks = _reduce_symmetric(p, q, m, mod)
             monkeypatch.setattr(expsum, "_INT64_HEADROOM", 2 * (mod - 1) ** 2 + mod)
             shears, blocks = _reduce_symmetric(p, q, m, mod)
             monkeypatch.undo()
             assert blocks == want_blocks
             assert len(shears) == len(want_shears) > 0
-            for (t, u), (t0, u0) in zip(shears, want_shears):
+            for (t, u), (t0, u0) in zip(_dense_shears(shears, n), _dense_shears(want_shears, n)):
                 assert t == t0 and u.dtype == u0.dtype == np.int64 and (u == u0).all()
+
+
+def _affine_grid(d, n_edges, rng):
+    # edges paired into vertices of arity 1-3, each an affine signature with
+    # a random periodic form and, now and then, one constraint row
+    from halfgauss.holant import AffineSignature, SignatureGrid, Vertex
+
+    ends = [e for e in range(n_edges) for _ in range(2)]
+    rng.shuffle(ends)
+    verts = []
+    while ends:
+        ar = min(rng.randint(1, 3), len(ends))
+        ve, ends = ends[:ar], ends[ar:]
+        rows = ()
+        if rng.random() < 1 / 3:
+            rows = ((tuple(rng.randrange(d) for _ in range(ar)), rng.randrange(d)),)
+        sig = AffineSignature(ar, one(), rows, random_periodic_form(d, ar, rng))
+        verts.append(Vertex(tuple(f"e{e}" for e in ve), sig))
+    return SignatureGrid(d, tuple(f"e{e}" for e in range(n_edges)), tuple(verts))
+
+
+def test_sparse_and_dense_phases_give_one_reduction(monkeypatch):
+    # every frame that the Clifford amplitudes and marginals and holant_affine
+    # pass to the kernel, random forms of average degree 1-12 (the fuller ones
+    # fill in and leave the sparse phase part way), and a star whose hub row
+    # trips the per-update bound: the default run, the dense loop from the
+    # start and the sparse phase to the end give the same shears, dtype
+    # included, and the same blocks
+    from halfgauss.clifford import amplitude, normalize, probability_marginal, random_circuit
+    from halfgauss.holant import holant_affine
+
+    real = expsum._reduce_symmetric
+    frames = []
+
+    def record(p, q, m, mod):
+        frames.append((p, q, m.copy(), mod))
+        return real(p, q, m, mod)
+
+    monkeypatch.setattr(expsum, "_reduce_symmetric", record)
+    expsum._core.cache_clear()
+    expsum._reduction.cache_clear()
+    rng = random.Random(43)
+    for d, regs, n_gates in ((2, 20, 200), (3, 12, 150), (6, 8, 100)):
+        nc = normalize(random_circuit(d, regs, n_gates, rng))
+        a = tuple(rng.randrange(d) for _ in range(regs))
+        b = tuple(rng.randrange(d) for _ in range(regs))
+        amplitude(nc, a, b)
+        for k in (1, 2, regs // 2, regs):
+            probability_marginal(nc, a, b[:k])
+    for d in (6, 8, 45):
+        holant_affine(_affine_grid(d, 60, rng))
+    monkeypatch.undo()
+    expsum._reduction.cache_clear()
+    assert len(frames) >= 20
+    for q in (2**4, 3**2, 5, 2**20, 3**13, 10007, 2**26):
+        for degree in (1, 2, 4, 8, 12):
+            n = rng.randrange(40, 61)
+            f = random_periodic_form(q, n, rng, degree / n)
+            p, mod, m = _kernel_frame(q, f)
+            frames.append((p, q, m, mod))
+    hub = {(1, 1): 1, **{(1, j): 2 * rng.randrange(1, 1 << 19) for j in range(2, 61)}}
+    hub.update({(j, j): rng.randrange(1 << 21) for j in range(2, 61)})
+    p, mod, m = _kernel_frame(2**20, QF(60, hub))
+    frames.append((p, 2**20, m, mod))
+    for p, q, m, mod in frames:
+        n = m.shape[0]
+        want = real(p, q, m, mod)
+        want = ([(t, u.dtype, u.tolist()) for t, u in _dense_shears(want[0], n)], want[1])
+        for degree in (0, n + 1):
+            monkeypatch.setattr(expsum, "_SPARSE_DEGREE", degree)
+            got = real(p, q, m, mod)
+            monkeypatch.undo()
+            got = ([(t, u.dtype, u.tolist()) for t, u in _dense_shears(got[0], n)], got[1])
+            assert got == want, (p, q, n, degree)

@@ -80,8 +80,13 @@ def test_factorize_examples():
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(1) == []
     assert factorize(97) == [(97, 1)]
-    with pytest.raises(ValueError):
-        factorize(1 << 63)
+    # 2 and 3 are stripped before the 2^63 cap applies to what is left
+    assert factorize(1 << 63) == [(2, 63)]
+    assert factorize(6**70) == [(2, 70), (3, 70)]
+    with pytest.raises(ValueError, match="prime to 6"):
+        factorize((1 << 64) + 1)
+    with pytest.raises(ValueError, match="prime to 6"):
+        factorize(12 * ((1 << 64) + 1))
     with pytest.raises(ValueError):
         factorize(0)
 
